@@ -1,16 +1,15 @@
 //! Engine microbenchmarks: the building blocks every experiment leans on
 //! (netlist construction, scalar simulation, 64-lane fault simulation,
 //! assembly, ISS execution, fault extraction/collapsing), plus the
-//! interpreted-vs-compiled full-netlist eval comparison on the Plasma
-//! and Parwan netlists. The engine comparison also updates the
-//! `microbench` key of `results/BENCH_trend.json` (read-modify-write, so
-//! `ledger --json` output is preserved).
+//! full-netlist eval of the engine at 64 and 256 lanes on the Plasma
+//! and Parwan netlists. The eval rows also update the `microbench` key
+//! of `results/BENCH_trend.json` (read-modify-write, so `ledger --json`
+//! output is preserved).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use fault::model::FaultList;
 use fault::sim::ParallelSim;
-use fault::wide::WideSim;
 use mips::asm::assemble;
 use mips::iss::{Iss, Memory};
 use plasma::testbench::GateCpu;
@@ -73,8 +72,9 @@ fn bench_parallel_sim(c: &mut Criterion) {
                 (sim, tb)
             },
             |(mut sim, mut tb)| {
+                let mut diff = [0u64];
                 for cyc in 0..500 {
-                    let _ = tb.step(&mut sim, cyc);
+                    tb.step(&mut sim, cyc, &mut diff);
                 }
             },
             criterion::BatchSize::SmallInput,
@@ -96,10 +96,8 @@ fn median_ns(n: usize, mut f: impl FnMut()) -> f64 {
     s[s.len() / 2] as f64
 }
 
-/// Interpreted (64-lane) vs compiled (256-lane, gating off so both
-/// engines do identical full-eval work; gating wins are measured at the
-/// campaign level) full-netlist eval on one core. Registers both as
-/// criterion benches and returns the trend-file JSON row.
+/// Full-netlist eval on one core at 64 and 256 lanes. Registers each
+/// width as a criterion bench and returns the trend-file JSON row.
 fn engine_eval_row(
     c: &mut Criterion,
     name: &str,
@@ -107,38 +105,28 @@ fn engine_eval_row(
     segments: &[Vec<u32>],
 ) -> serde_json::Value {
     let gates = nl.gates().len() as u64;
-    let mut interp = ParallelSim::with_segments(nl, segments);
-    interp.reset();
     let kernel = fault::kernel::compile_cached(nl, segments);
-    let mut wide = WideSim::new(kernel, 4, false);
-    wide.reset();
-
     let group = format!("engine_eval/{name}");
     let mut g = c.benchmark_group(&group);
-    g.throughput(Throughput::Elements(gates * 64));
-    g.bench_function("interp_64lane", |b| b.iter(|| interp.eval_all()));
-    g.throughput(Throughput::Elements(gates * 256));
-    g.bench_function("compiled_256lane", |b| b.iter(|| wide.eval_all()));
+    let mut widths = Vec::new();
+    for lanes in [64usize, 256] {
+        let mut sim = ParallelSim::from_kernel(kernel.clone(), lanes / 64);
+        sim.reset();
+        g.throughput(Throughput::Elements(gates * lanes as u64));
+        g.bench_function(&format!("{lanes}lane"), |b| b.iter(|| sim.eval_all()));
+        let ns = median_ns(30, || sim.eval_all());
+        // gate-lane evals per ns × 1e3 = millions per second.
+        widths.push(serde_json::json!({
+            "lanes": lanes as u64,
+            "ns_per_eval": ns,
+            "mlane_gate_evals_per_sec": gates as f64 * lanes as f64 / ns * 1e3,
+        }));
+    }
     g.finish();
-
-    let interp_ns = median_ns(30, || interp.eval_all());
-    let wide_ns = median_ns(30, || wide.eval_all());
-    // gate-lane evals per ns × 1e3 = millions per second.
-    let mps = |lanes: f64, ns: f64| gates as f64 * lanes / ns * 1e3;
     serde_json::json!({
         "netlist": name,
         "gates": gates,
-        "interp": {
-            "lanes": 64,
-            "ns_per_eval": interp_ns,
-            "mlane_gate_evals_per_sec": mps(64.0, interp_ns),
-        },
-        "compiled": {
-            "lanes": 256,
-            "ns_per_eval": wide_ns,
-            "mlane_gate_evals_per_sec": mps(256.0, wide_ns),
-        },
-        "throughput_ratio": mps(256.0, wide_ns) / mps(64.0, interp_ns),
+        "widths": serde_json::Value::Array(widths),
     })
 }
 

@@ -25,11 +25,10 @@
 //!                              #   escapes -> results/WAVE_escape_*.vcd
 //! ```
 //!
-//! `--engine {interp,compiled}` selects the simulation back-end and
-//! `--lanes N[,N..]` the compiled lane width(s): under `--stats` a
-//! comma list sweeps every width, elsewhere a single width pins the
-//! engine. `--verify-interp` makes `--stats` cross-check compiled
-//! detections against the interpreted reference engine.
+//! `--lanes N[,N..]` selects the engine's lane width(s): under
+//! `--stats` a comma list sweeps every width, elsewhere a single width
+//! pins the engine. `--verify-serial` makes `--stats` cross-check the
+//! detections against the serial single-fault oracle.
 //!
 //! `--progress` adds a live batch ticker on stderr; `--trace FILE`
 //! writes structured campaign events as JSONL; `--stride N` sets the
@@ -145,7 +144,7 @@ fn finish(opts: &RunOptions, out: &ObsOut, record: Option<LedgerRecord>) {
 
 /// `--submit URL`: run this invocation's campaign on a live job server
 /// instead of in-process. The spec mirrors the local options (`--sample`,
-/// `--seed`, `--engine`, `--lanes`, `--threads`) plus `--shards`; the
+/// `--seed`, `--lanes`, `--threads`) plus `--shards`; the
 /// server's netlist fingerprint is discovered from `GET /jobs`. Returns
 /// the process exit code.
 fn submit_campaign(
@@ -327,21 +326,6 @@ fn main() {
                     .expect("--threads needs a number");
             }
             "--stats" => stats = true,
-            "--engine" => {
-                let spec = it.next().expect("--engine needs interp|compiled");
-                match fault::EngineKind::parse(spec) {
-                    Ok(kind) => {
-                        opts.engine.kind = kind;
-                        if kind == fault::EngineKind::Interp {
-                            opts.engine.lane_words = 1;
-                        }
-                    }
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--lanes" => {
                 let spec = it.next().expect("--lanes needs a comma-separated list");
                 opts.lanes_sweep.clear();
@@ -357,12 +341,10 @@ fn main() {
                 // A single width also pins the configured engine, so
                 // non-`--stats` campaigns honor `--lanes N`.
                 if let [lanes] = opts.lanes_sweep[..] {
-                    if opts.engine.kind == fault::EngineKind::Compiled {
-                        opts.engine.lane_words = lanes / 64;
-                    }
+                    opts.engine = fault::EngineConfig::compiled(lanes);
                 }
             }
-            "--verify-interp" => opts.verify_interp = true,
+            "--verify-serial" => opts.verify_interp = true,
             "--report" => report = true,
             "--escapes" => escapes = true,
             "--forensics" => forensics = true,
@@ -448,8 +430,8 @@ fn main() {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: tables [--all | --table <id>] [--full | --sample N] [--seed N] \
-                     [--threads N] [--engine interp|compiled] [--lanes N[,N..]] \
-                     [--verify-interp] [--stats | --report | --escapes | --forensics | \
+                     [--threads N] [--lanes N[,N..]] \
+                     [--verify-serial] [--stats | --report | --escapes | --forensics | \
                      --forensics-fault id] [--progress] \
                      [--profile] [--trace file] [--stride N] [--json file] [--ledger file] \
                      [--no-ledger] [--metrics-out file] [--serve port] [--trace-viz] \

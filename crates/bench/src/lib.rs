@@ -20,7 +20,7 @@ pub mod server;
 use fault::campaign::{self, CampaignHooks, CampaignResult};
 use fault::coverage::CoverageReport;
 use fault::model::FaultList;
-use fault::{EngineConfig, EngineKind};
+use fault::EngineConfig;
 use netlist::synth::TechStyle;
 use obs::{LedgerRecord, MetricRegistry};
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
@@ -95,7 +95,7 @@ pub fn campaign_ledger_record(
     rec.cycles = s.cycles_simulated;
     rec.wall_seconds = s.wall_seconds;
     rec.mlane_cps = s.mlane_cycles_per_sec();
-    rec.engine = s.engine.to_string();
+    rec.engine = fault::engine::ENGINE_NAME.to_string();
     rec.lanes = s.lanes;
     rec.coverage_pct = coverage_pct;
     rec.latency = s.latency.to_json();
@@ -361,15 +361,17 @@ pub struct RunOptions {
     /// Live event bus for the observatory's `/events` SSE route
     /// (`--serve`); campaign begin/batch/end events land here.
     pub events: Option<obs::EventBus>,
-    /// Simulation engine for campaign-bearing experiments (`--engine`,
-    /// `SBST_ENGINE`/`SBST_LANES`).
+    /// Engine lane width for campaign-bearing experiments (`--lanes N`,
+    /// `SBST_LANES`).
     pub engine: EngineConfig,
     /// Lane widths swept by `--stats` (`--lanes 64,256`); empty sweeps
-    /// only the configured engine width. Ignored by the interpreted
-    /// engine (pinned at 64 lanes).
+    /// only the configured engine width.
     pub lanes_sweep: Vec<usize>,
-    /// Cross-check the compiled engine's detections against the
-    /// interpreted reference during `--stats` (`--verify-interp`).
+    /// Cross-check the engine's detections against the serial
+    /// single-fault oracle during `--stats` (`--verify-serial`). The
+    /// field keeps its earlier name, from when the reference was an
+    /// interpreted engine, because callers build `RunOptions` by
+    /// struct literal.
     pub verify_interp: bool,
 }
 
@@ -407,19 +409,15 @@ impl RunOptions {
         }
     }
 
-    /// The engine configurations `--stats` sweeps: the configured engine,
-    /// widened across `--lanes` when given (compiled only).
+    /// The engine configurations `--stats` sweeps: the configured
+    /// width, or every `--lanes` width when given.
     pub fn engine_sweep(&self) -> Vec<EngineConfig> {
-        if self.engine.kind == EngineKind::Interp || self.lanes_sweep.is_empty() {
+        if self.lanes_sweep.is_empty() {
             return vec![self.engine];
         }
         self.lanes_sweep
             .iter()
-            .map(|&lanes| {
-                let mut e = EngineConfig::compiled(lanes);
-                e.gating = self.engine.gating;
-                e
-            })
+            .map(|&lanes| EngineConfig::compiled(lanes))
             .collect()
     }
 }
@@ -957,7 +955,7 @@ fn stats_json(r: &CampaignResult) -> serde_json::Value {
     let s = &r.stats;
     serde_json::json!({
         "threads": s.threads,
-        "engine": s.engine,
+        "engine": fault::engine::ENGINE_NAME,
         "lanes": s.lanes,
         "batches": s.batches,
         "faults": r.faults.len(),
@@ -976,7 +974,7 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
     format!(
         "{:<10} {:>9} {:>6} {:>7} {:>8} {:>12} {:>10.3} {:>14.2}\n",
         label,
-        s.engine,
+        fault::engine::ENGINE_NAME,
         s.lanes,
         s.threads,
         s.batches,
@@ -988,9 +986,10 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
 
 /// The campaign throughput benchmark behind `tables --stats`: grade the
 /// Phase A+B self-test over the sampled fault list serially and at the
-/// requested (or auto) thread count for every engine/lane-width combo in
-/// the sweep, verify the detections are bit-identical across threads,
-/// lane widths and (under `--verify-interp`) engines, and report wall
+/// requested (or auto) thread count for every lane width in the sweep,
+/// verify the detections are bit-identical across threads, lane widths
+/// and (under `--verify-serial`) the serial single-fault oracle, and
+/// report wall
 /// time / Mlane-cycles/s / speedup. The driver writes the JSON payload
 /// to `results/BENCH_campaign.json`.
 pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
@@ -1018,19 +1017,15 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     };
     let combos = opts.engine_sweep();
 
-    // Interpreted reference detections, run once when cross-engine
-    // verification is requested and the sweep itself is compiled.
-    let interp_ref = (opts.verify_interp
-        && combos.iter().any(|e| e.kind != EngineKind::Interp))
-    .then(|| {
-        flow::run_campaign_of_engine(
+    // Serial single-fault oracle detections, run once when
+    // verification is requested.
+    let oracle = opts.verify_interp.then(|| {
+        plasma::testbench::serial_detections(
             &core,
             &selftest.program,
-            &faults,
+            flow::MEM_BYTES,
             budget,
-            1,
-            &hooks,
-            EngineConfig::interp(),
+            &faults.faults,
         )
     });
 
@@ -1047,8 +1042,8 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     let mut speedup = 1.0;
     let mut ledger = None;
     // The per-combo asserts panic on divergence, so reaching the payload
-    // with a reference run means every combo matched it.
-    let cross_engine_match = interp_ref.is_some();
+    // with an oracle run means every combo matched it.
+    let serial_oracle_match = oracle.is_some();
     let mut last_profiled: Option<campaign::CampaignStats> = None;
     for engine in &combos {
         let serial = flow::run_campaign_of_engine(
@@ -1061,11 +1056,11 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             *engine,
         );
         let coverage_pct = 100.0 * serial.coverage();
-        if let Some(reference) = &interp_ref {
+        if let Some(reference) = &oracle {
             assert_eq!(
-                serial.detections, reference.detections,
-                "{} engine at {} lanes diverged from the interpreted reference",
-                engine.name(),
+                &serial.detections,
+                reference,
+                "the engine at {} lanes diverged from the serial oracle",
                 engine.lanes()
             );
         }
@@ -1105,11 +1100,11 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         }
         ledger = Some(rec);
     }
-    if let Some(reference) = &interp_ref {
+    if let Some(reference) = &oracle {
         text.push_str(&format!(
-            "\ncross-engine check: compiled detections match the interpreted \
-             reference ({} faults)\n",
-            reference.faults.len()
+            "\nserial oracle check: detections match single-fault serial \
+             simulation ({} faults)\n",
+            reference.len()
         ));
     }
     if let Some(stats) = &last_profiled {
@@ -1124,8 +1119,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
             "budget_cycles_per_batch": budget,
             "runs": runs,
             "speedup": speedup,
-            "cross_engine_match": cross_engine_match,
-            "verified_vs_interp": interp_ref.is_some(),
+            "serial_oracle_match": serial_oracle_match,
         }),
     );
     exp.ledger = ledger;

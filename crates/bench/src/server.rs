@@ -50,7 +50,7 @@ use std::time::{Duration, Instant};
 
 use fault::campaign::{CampaignHooks, CampaignResult, CampaignStats, Detection};
 use fault::coverage::CoverageReport;
-use fault::engine::{EngineConfig, EngineKind};
+use fault::engine::{EngineConfig, ENGINE_NAME};
 use fault::shard::{ShardBoard, ShardState};
 use obs::serve::{ApiHandler, ApiRequest, ApiResponse};
 use obs::traceviz::{self, ProcessStream};
@@ -565,7 +565,7 @@ impl JobServer {
                 "faults_dropped": merged.stats.faults_dropped,
                 "wall_seconds": job.submitted.elapsed().as_secs_f64(),
                 "threads": merged.stats.threads as u64,
-                "engine": merged.stats.engine,
+                "engine": ENGINE_NAME,
                 "lanes": merged.stats.lanes,
                 "shards": job.prepared.bounds.len() as u64,
             }),
@@ -981,10 +981,6 @@ impl JobServer {
                 faults_dropped: detections.iter().filter(|d| d.is_detected()).count() as u64,
                 wall_seconds: stats["wall_seconds"].as_f64().unwrap_or(0.0),
                 threads: num("threads").max(1) as usize,
-                engine: match stats["engine"].as_str() {
-                    Some("compiled") => "compiled",
-                    _ => "interp",
-                },
                 lanes: num("lanes").max(64),
                 ..CampaignStats::default()
             },
@@ -1140,16 +1136,14 @@ pub fn parse_spec(doc: &Value) -> Result<(String, String, CampaignJobSpec), Stri
         None => 256,
         Some(v) => v.as_u64().ok_or("`lanes` must be an integer")? as usize,
     };
-    let engine = match o.get("engine").and_then(|v| v.as_str()).unwrap_or("compiled") {
-        "interp" => EngineConfig::interp(),
-        "compiled" => {
-            if ![64, 128, 256, 512].contains(&lanes) {
-                return Err(format!("unsupported lane count {lanes} (want 64/128/256/512)"));
-            }
-            EngineConfig::compiled(lanes)
-        }
-        other => return Err(format!("unknown engine `{other}` (want interp or compiled)")),
-    };
+    match o.get("engine").and_then(|v| v.as_str()).unwrap_or(ENGINE_NAME) {
+        ENGINE_NAME => {}
+        other => return Err(format!("unknown engine `{other}` (want {ENGINE_NAME})")),
+    }
+    if EngineConfig::words_for_lanes(lanes).is_none() {
+        return Err(format!("unsupported lane count {lanes} (want 64/128/256/512)"));
+    }
+    let engine = EngineConfig::compiled(lanes);
     let threads = match o.get("threads") {
         None => 1,
         Some(v) => v.as_u64().ok_or("`threads` must be a non-negative integer")? as usize,
@@ -1191,10 +1185,7 @@ pub fn spec_json(fingerprint: &str, spec: &CampaignJobSpec) -> Value {
         },
         "seed": spec.seed,
         "cycle_margin": spec.cycle_margin,
-        "engine": match spec.engine.kind {
-            EngineKind::Interp => "interp",
-            EngineKind::Compiled => "compiled",
-        },
+        "engine": spec.engine.name(),
         "lanes": spec.engine.lanes() as u64,
         "threads": spec.threads as u64,
         "shards": spec.shards as u64,
@@ -1226,7 +1217,7 @@ pub fn detections_json(detections: &[Detection]) -> Value {
 
 /// The **conformance payload**: everything a campaign's outcome
 /// determines and nothing an execution strategy does. Two runs of the
-/// same spec — single-shot or any shards × threads × engine combination
+/// same spec — single-shot or any shards × threads × lane-width combination
 /// — must serialize this to identical bytes; the e2e suite holds the
 /// daemon to exactly that.
 pub fn conformance_json(
@@ -1276,7 +1267,7 @@ pub fn completion_json(job_id: &str, shard: usize, worker: &str, result: &Campai
             "budget_cycles": result.stats.budget_cycles,
             "wall_seconds": result.stats.wall_seconds,
             "threads": result.stats.threads as u64,
-            "engine": result.stats.engine,
+            "engine": ENGINE_NAME,
             "lanes": result.stats.lanes,
         },
     })
@@ -1313,7 +1304,7 @@ mod tests {
             "netlist": srv.fingerprint().to_string(),
             "sample": 120u64,
             "shards": shards,
-            "engine": "interp",
+            "lanes": 64u64,
         })
     }
 

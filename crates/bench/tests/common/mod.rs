@@ -76,7 +76,7 @@ pub fn spec(server: &ServerProc, id: &str) -> Value {
         "id": id.to_string(),
         "netlist": server.fingerprint.clone(),
         "sample": 200u64,
-        "engine": "interp",
+        "lanes": 64u64,
         "shards": 2u64,
     })
 }

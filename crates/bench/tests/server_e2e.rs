@@ -3,7 +3,7 @@
 //! real sockets, and hold the daemon to the merge guarantee — the
 //! coverage/detection payload of every sharded run is **byte-identical**
 //! to an in-process single-shot run of the same spec, across shard
-//! counts × per-shard thread counts × both simulation engines.
+//! counts × per-shard thread counts × lane widths {64, 256}.
 //!
 //! Also covered here: per-job progress streamed over the existing SSE
 //! `/events` bus, compiled-kernel reuse across jobs (a second job on the
@@ -54,33 +54,32 @@ fn reference_conformance(doc: &Value) -> String {
     .expect("serialize reference conformance")
 }
 
-fn matrix_spec(srv: &ServerProc, id: &str, engine: &str, shards: u64, threads: u64) -> Value {
+fn matrix_spec(srv: &ServerProc, id: &str, lanes: u64, shards: u64, threads: u64) -> Value {
     serde_json::json!({
         "id": id.to_string(),
         "netlist": srv.fingerprint.clone(),
         "sample": SAMPLE,
-        "engine": engine.to_string(),
-        "lanes": 128u64,
+        "lanes": lanes,
         "threads": threads,
         "shards": shards,
     })
 }
 
-/// The tentpole: every point of the shards × threads × engine matrix,
-/// graded by the daemon's work-stealing workers, serializes the same
-/// conformance bytes as the single-shot in-process reference. The
-/// reference is computed once with the interpreted engine, so this also
-/// pins compiled-engine daemon runs to the interpreted single-shot.
+/// The tentpole: every point of the shards × threads × lane-width
+/// matrix, graded by the daemon's work-stealing workers, serializes the
+/// same conformance bytes as the single-shot in-process reference. The
+/// reference is computed once at 64 lanes, so this also pins 256-lane
+/// daemon runs to the 64-lane single-shot.
 #[test]
 fn daemon_sharded_matrix_is_byte_identical_to_single_shot() {
     let srv = spawn_server(&["--workers", "2"]);
-    let reference = reference_conformance(&matrix_spec(&srv, "ref", "interp", 1, 1));
+    let reference = reference_conformance(&matrix_spec(&srv, "ref", 64, 1, 1));
 
-    for engine in ["interp", "compiled"] {
+    for lanes in [64u64, 256] {
         for shards in [2u64, 5] {
             for threads in [1u64, 2] {
-                let id = format!("m-{engine}-s{shards}-t{threads}");
-                let result = run_job(&srv, &matrix_spec(&srv, &id, engine, shards, threads));
+                let id = format!("m-l{lanes}-s{shards}-t{threads}");
+                let result = run_job(&srv, &matrix_spec(&srv, &id, lanes, shards, threads));
                 let got = serde_json::to_string(&result["conformance"])
                     .expect("serialize daemon conformance");
                 assert_eq!(
@@ -154,7 +153,7 @@ fn job_progress_streams_over_sse() {
 #[test]
 fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
     let srv = spawn_server(&["--workers", "1"]);
-    let first = run_job(&srv, &matrix_spec(&srv, "warm", "compiled", 2, 1));
+    let first = run_job(&srv, &matrix_spec(&srv, "warm", 128, 2, 1));
     let snap1 = metrics(&srv);
     let lowering1 =
         metric_value(&snap1, "sbst_kernel_lowering_ns_total").expect("lowering metric");
@@ -168,7 +167,7 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
         "first job owns every compile miss"
     );
 
-    let second = run_job(&srv, &matrix_spec(&srv, "reuse", "compiled", 2, 1));
+    let second = run_job(&srv, &matrix_spec(&srv, "reuse", 128, 2, 1));
     let snap2 = metrics(&srv);
     assert_eq!(
         metric_value(&snap2, "sbst_kernel_lowering_ns_total"),
@@ -202,8 +201,8 @@ fn second_job_on_same_fingerprint_reuses_the_compiled_kernel() {
 #[test]
 fn external_worker_processes_grade_shards_over_http() {
     let srv = spawn_server(&["--workers", "0"]);
-    let doc = matrix_spec(&srv, "ext", "interp", 4, 1);
-    let reference = reference_conformance(&matrix_spec(&srv, "ref", "interp", 1, 1));
+    let doc = matrix_spec(&srv, "ext", 64, 4, 1);
+    let reference = reference_conformance(&matrix_spec(&srv, "ref", 64, 1, 1));
     bench::client::submit_job(&srv.base, &doc)
         .unwrap_or_else(|(s, e)| panic!("submit rejected ({s}): {e}"));
 

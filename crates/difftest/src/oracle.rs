@@ -353,7 +353,7 @@ impl<'a> PlasmaOracle<'a> {
 
         while cycle < stop_at {
             self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes(we_net);
+            let we_lanes = self.sim.net_lanes_word(we_net, 0);
             let mut gate = GateBus {
                 addr: 0,
                 wdata: 0,
@@ -379,10 +379,12 @@ impl<'a> PlasmaOracle<'a> {
                     };
                 }
             }
-            transpose_lanes(&self.scratch, 32, &mut self.bits);
+            transpose_lanes(&self.scratch, 32, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
             self.sim.eval_segment(1);
-            let diff = self.sim.diff_vs_lane0(observed);
+            let mut diff = [0u64];
+            self.sim.diff_vs_lane0(observed, &mut diff);
+            let diff = diff[0];
             self.sim.clock();
 
             let mut d = diff & !1;

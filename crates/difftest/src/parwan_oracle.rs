@@ -117,7 +117,7 @@ impl<'a> ParwanOracle<'a> {
         let mut cycle = 0u64;
         while cycle < max_cycles {
             self.sim.eval_segment(0);
-            let we_lanes = self.sim.net_lanes(we_net);
+            let we_lanes = self.sim.net_lanes_word(we_net, 0);
             let mut gate = BusCycle {
                 addr: 0,
                 wdata: 0,
@@ -142,9 +142,11 @@ impl<'a> ParwanOracle<'a> {
                     };
                 }
             }
-            transpose_lanes(&self.scratch, 8, &mut self.bits);
+            transpose_lanes(&self.scratch, 8, 1, &mut self.bits);
             self.sim.set_port_bits(nl, "mem_rdata", &self.bits);
-            let diff = self.sim.diff_vs_lane0(observed);
+            let mut diff = [0u64];
+            self.sim.diff_vs_lane0(observed, &mut diff);
+            let diff = diff[0];
             self.sim.eval_segment(1);
             self.sim.clock();
 

@@ -1,112 +1,51 @@
-//! Engine selection: which simulation back-end a campaign runs on and
-//! at what lane width.
+//! Lane-width configuration of a campaign.
 //!
-//! Two engines produce bit-identical per-fault `Detection` results:
+//! There is one simulation engine: the compiled bit-parallel kernel
+//! ([`crate::kernel::CompiledKernel`] evaluated by
+//! [`crate::sim::ParallelSim`]) at 64–512 lanes. Its reference is the
+//! serial single-fault oracle in [`crate::serial`].
 //!
-//! * **Interp** — the original interpreted levelized walk
-//!   ([`crate::sim::ParallelSim`]), fixed at 64 lanes. Retained as the
-//!   differential reference.
-//! * **Compiled** — the lowered straight-line kernel
-//!   ([`crate::kernel::CompiledKernel`] + [`crate::wide::WideSim`]),
-//!   64–512 lanes with optional activity gating. The default.
-//!
-//! Configuration resolves from the environment (`SBST_ENGINE`,
-//! `SBST_LANES`, `SBST_GATING`) so every binary and test can flip
-//! engines without plumbing flags, and from CLI parse helpers used by
-//! `bench --bin tables`.
+//! The lane width resolves from the environment (`SBST_LANES`) so every
+//! binary and test can change it without plumbing flags, and from CLI
+//! parse helpers used by `bench --bin tables`.
 
-/// Which simulation back-end to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Interpreted 64-lane reference engine.
-    Interp,
-    /// Compiled multi-word bit-parallel engine.
-    Compiled,
-}
-
-impl EngineKind {
-    /// Stable lowercase name, as recorded in stats and ledger entries.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Interp => "interp",
-            EngineKind::Compiled => "compiled",
-        }
-    }
-
-    /// Parse a CLI/env spelling (`interp` | `compiled`).
-    pub fn parse(s: &str) -> Result<EngineKind, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "interp" | "interpreted" => Ok(EngineKind::Interp),
-            "compiled" | "compile" | "kernel" => Ok(EngineKind::Compiled),
-            other => Err(format!("unknown engine '{other}' (expected interp|compiled)")),
-        }
-    }
-}
+/// The engine name recorded in stats, ledger entries and job specs.
+pub const ENGINE_NAME: &str = "compiled";
 
 /// Resolved engine configuration for a campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Back-end to use.
-    pub kind: EngineKind,
-    /// u64 words per net for the compiled engine (1, 2, 4 or 8 —
-    /// 64–512 lanes). Ignored by the interpreted engine (always 1).
+    /// u64 words per net (1, 2, 4 or 8 — 64–512 lanes).
     pub lane_words: usize,
-    /// Whether the compiled engine skips quiescent levels.
-    pub gating: bool,
 }
 
 impl Default for EngineConfig {
-    /// Compiled, 256 lanes, gating off.
-    ///
-    /// Gating is opt-in (`SBST_GATING=1`) because a self-test campaign
-    /// toggles nearly every level of a CPU core every cycle: measured
-    /// on the Plasma campaign, the change-tracking and consumer-mask
-    /// traffic costs ~25% with no levels to skip. It pays only on
-    /// workloads with genuinely quiescent cones.
+    /// 256 lanes.
     fn default() -> Self {
-        EngineConfig {
-            kind: EngineKind::Compiled,
-            lane_words: 4,
-            gating: false,
-        }
+        EngineConfig { lane_words: 4 }
     }
 }
 
 impl EngineConfig {
-    /// The interpreted reference engine (64 lanes).
-    pub fn interp() -> EngineConfig {
-        EngineConfig {
-            kind: EngineKind::Interp,
-            lane_words: 1,
-            gating: false,
-        }
-    }
-
-    /// Compiled engine at a given lane count (64/128/256/512), gating
-    /// off (see [`EngineConfig::default`]).
+    /// The engine at a given lane count (64/128/256/512).
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is not a supported width.
     pub fn compiled(lanes: usize) -> EngineConfig {
         EngineConfig {
-            kind: EngineKind::Compiled,
             lane_words: Self::words_for_lanes(lanes).expect("unsupported lane count"),
-            gating: false,
         }
     }
 
     /// Effective lanes per batch.
     pub fn lanes(&self) -> usize {
-        match self.kind {
-            EngineKind::Interp => 64,
-            EngineKind::Compiled => 64 * self.lane_words,
-        }
+        64 * self.lane_words
     }
 
-    /// Engine name as recorded in stats/ledger.
+    /// Engine name as recorded in stats/ledger ([`ENGINE_NAME`]).
     pub fn name(&self) -> &'static str {
-        self.kind.name()
+        ENGINE_NAME
     }
 
     /// Map a lane count to words, if supported.
@@ -131,31 +70,13 @@ impl EngineConfig {
             .ok_or_else(|| format!("unsupported lane count {n} (expected 64|128|256|512)"))
     }
 
-    /// Resolve from the environment: `SBST_ENGINE=interp|compiled`,
-    /// `SBST_LANES=64|128|256|512`, `SBST_GATING=0|1`. Unset or
-    /// malformed variables fall back to the defaults.
+    /// Resolve from the environment: `SBST_LANES=64|128|256|512`. Unset
+    /// or malformed values fall back to the default.
     pub fn from_env() -> EngineConfig {
         let mut cfg = EngineConfig::default();
-        if let Ok(v) = std::env::var("SBST_ENGINE") {
-            if let Ok(kind) = EngineKind::parse(&v) {
-                cfg.kind = kind;
-                if kind == EngineKind::Interp {
-                    cfg.lane_words = 1;
-                }
-            }
-        }
-        if cfg.kind == EngineKind::Compiled {
-            if let Ok(v) = std::env::var("SBST_LANES") {
-                if let Ok(lanes) = Self::parse_lanes(&v) {
-                    cfg.lane_words = lanes / 64;
-                }
-            }
-            if let Ok(v) = std::env::var("SBST_GATING") {
-                match v.trim() {
-                    "0" | "off" | "false" => cfg.gating = false,
-                    "1" | "on" | "true" => cfg.gating = true,
-                    _ => {}
-                }
+        if let Ok(v) = std::env::var("SBST_LANES") {
+            if let Ok(lanes) = Self::parse_lanes(&v) {
+                cfg.lane_words = lanes / 64;
             }
         }
         cfg
@@ -167,19 +88,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_compiled_256_ungated() {
+    fn default_is_256_lanes() {
         let c = EngineConfig::default();
-        assert_eq!(c.kind, EngineKind::Compiled);
         assert_eq!(c.lanes(), 256);
-        assert!(!c.gating, "gating is opt-in (workload-dependent)");
         assert_eq!(c.name(), "compiled");
-    }
-
-    #[test]
-    fn interp_is_pinned_to_64_lanes() {
-        let c = EngineConfig::interp();
-        assert_eq!(c.lanes(), 64);
-        assert_eq!(c.name(), "interp");
     }
 
     #[test]
@@ -189,13 +101,6 @@ mod tests {
         assert!(EngineConfig::parse_lanes("zero").is_err());
         assert_eq!(EngineConfig::words_for_lanes(512), Some(8));
         assert_eq!(EngineConfig::words_for_lanes(96), None);
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for k in [EngineKind::Interp, EngineKind::Compiled] {
-            assert_eq!(EngineKind::parse(k.name()), Ok(k));
-        }
-        assert!(EngineKind::parse("verilator").is_err());
+        assert_eq!(EngineConfig::compiled(64).lanes(), 64);
     }
 }

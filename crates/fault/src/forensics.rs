@@ -21,16 +21,16 @@
 //! coverage the paper quotes, so "undetected" is honestly split from
 //! "undetectable".
 //!
-//! The replay is pure post-processing on the interpreted engine: it
-//! never alters campaign detection results (verified by the
-//! cross-engine determinism tests in `sbst`), and the report
-//! deliberately contains no wall-clock, engine, or lane-count fields
-//! so its JSON is byte-identical across engines and thread counts.
+//! The replay is pure post-processing on a 64-lane simulator: it never
+//! alters campaign detection results (verified by the determinism
+//! tests in `sbst`), and the report deliberately contains no
+//! wall-clock, engine, or lane-count fields so its JSON is
+//! byte-identical across lane widths and thread counts.
 
 use crate::campaign::{latency_of, CampaignResult, Testbench};
 use crate::model::{Fault, FaultSite, Polarity};
 use crate::scoap::{self, INF};
-use crate::sim::ParallelSim;
+use crate::sim::{ParallelSim, MAX_LANE_WORDS};
 use netlist::cone::fanout_cone;
 use netlist::{Net, Netlist};
 use obs::LatencyHistogram;
@@ -228,11 +228,11 @@ struct PendingEscape {
 /// Build the forensics report for a finished campaign.
 ///
 /// `observed` is the set of output nets the campaign's detection
-/// criterion monitored. `sim`/`tb` replay the same self-test on the
-/// interpreted engine to gather activation evidence; the replay
-/// batches up to 63 escapes per pass (lanes 1..64, lane 0 stays the
-/// fault-free reference) and is pure post-processing — campaign
-/// results are never modified.
+/// criterion monitored. `sim`/`tb` replay the same self-test to gather
+/// activation evidence (the flow passes a 64-lane simulator); the
+/// replay batches up to `sim.lanes() - 1` escapes per pass (lane 0
+/// stays the fault-free reference) and is pure post-processing —
+/// campaign results are never modified.
 pub fn analyze(
     nl: &Netlist,
     result: &CampaignResult,
@@ -298,7 +298,9 @@ pub fn analyze(
     // testable escapes injected, watching the fault-free site value
     // (excitation) and the per-lane divergence on the effect-origin
     // nets (propagation). Early-exits once every lane has both.
-    for batch in pending.chunks(63) {
+    let w = sim.lane_words();
+    let mut diff = [0u64; MAX_LANE_WORDS];
+    for batch in pending.chunks(sim.lanes() - 1) {
         sim.clear_faults();
         for (k, p) in batch.iter().enumerate() {
             sim.inject(escapes[p.idx].fault, k + 1);
@@ -307,7 +309,7 @@ pub fn analyze(
         tb.begin(sim);
         let mut unresolved = batch.len();
         for cycle in 0..tb.cycles() {
-            tb.step(sim, cycle);
+            tb.step(sim, cycle, &mut diff[..w]);
             if unresolved == 0 {
                 break;
             }
@@ -317,14 +319,16 @@ pub fn analyze(
                     continue;
                 }
                 if e.first_excited.is_none() {
-                    let good_high = sim.net_lanes(p.site) & 1 == 1;
+                    let good_high = sim.net_lanes_word(p.site, 0) & 1 == 1;
                     if good_high == p.excite_high {
                         e.first_excited = Some(cycle);
                     }
                 }
                 if e.first_propagated.is_none() && !p.origin.is_empty() {
-                    let diff = sim.diff_vs_lane0(&p.origin);
-                    if (diff >> (k + 1)) & 1 == 1 {
+                    let mut origin_diff = [0u64; MAX_LANE_WORDS];
+                    sim.diff_vs_lane0(&p.origin, &mut origin_diff[..w]);
+                    let lane = k + 1;
+                    if (origin_diff[lane >> 6] >> (lane & 63)) & 1 == 1 {
                         e.first_propagated = Some(cycle);
                     }
                 }

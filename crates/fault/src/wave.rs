@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 
 use crate::campaign::{Detection, Testbench};
 use crate::model::{Fault, FaultList};
-use crate::sim::ParallelSim;
+use crate::sim::{ParallelSim, MAX_LANE_WORDS};
 use netlist::wave::{write_diff_vcd, DiffRow, Probe};
 
 /// Knobs for triggered waveform capture, shared by the flow layer and
@@ -199,9 +199,12 @@ pub fn replay_fault(sim: &mut ParallelSim, tb: &mut dyn Testbench, fault: Fault)
     sim.inject(fault, 1);
     sim.reset_state();
     tb.begin(sim);
+    let mut diff = [0u64; MAX_LANE_WORDS];
     for cycle in 0..tb.cycles() {
-        let diff = tb.step(sim, cycle);
-        if (diff >> 1) & 1 == 1 {
+        let diff = &mut diff[..sim.lane_words()];
+        diff.fill(0);
+        tb.step(sim, cycle, diff);
+        if (diff[0] >> 1) & 1 == 1 {
             return Detection::DetectedAt(cycle);
         }
     }
@@ -225,10 +228,13 @@ pub fn capture_fault(
     sim.inject(fault, 1);
     sim.reset_state();
     tb.begin(sim);
+    let mut diff = [0u64; MAX_LANE_WORDS];
     for cycle in 0..tb.cycles() {
-        let diff = tb.step(sim, cycle);
+        let diff = &mut diff[..sim.lane_words()];
+        diff.fill(0);
+        tb.step(sim, cycle, diff);
         cap.record(sim, cycle, 1);
-        if (diff >> 1) & 1 == 1 {
+        if (diff[0] >> 1) & 1 == 1 {
             cap.mark_trigger(cycle);
         }
         if cap.done(cycle) {

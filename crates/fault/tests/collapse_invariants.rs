@@ -83,7 +83,7 @@ fn detected_set(nl: &Netlist, faults: &[Fault], seed: u64, cycles: usize) -> Vec
             ps.eval_all();
             if cycle > 0 {
                 for &n in nl.port("out") {
-                    let v = ps.net_lanes(n);
+                    let v = ps.net_lanes_word(n, 0);
                     let lane0 = 0u64.wrapping_sub(v & 1);
                     diff |= v ^ lane0;
                 }

@@ -6,13 +6,12 @@ use std::path::PathBuf;
 
 use fault::campaign::{self, CampaignHooks, CampaignResult};
 use fault::coverage::{CoverageReport, CoverageTimeline};
-use fault::engine::{EngineConfig, EngineKind};
+use fault::engine::EngineConfig;
 use fault::model::FaultList;
 use fault::sim::ParallelSim;
-use fault::wide::WideSim;
 use mips::iss::{Iss, Memory};
 use obs::{MetricRegistry, ProfilePhase, Profiler, Progress, Tracer};
-use plasma::testbench::{SelfTestBench, WideSelfTestBench};
+use plasma::testbench::SelfTestBench;
 use plasma::PlasmaCore;
 
 use crate::cost::{CostModel, TestCost};
@@ -67,19 +66,18 @@ pub struct FlowOptions {
     /// [`fault::wave::WaveOptions::out_dir`]. `None` (the default) adds
     /// zero work — campaigns never record.
     pub wave: Option<fault::wave::WaveOptions>,
-    /// Simulation engine + lane width. Defaults to the environment
-    /// (`SBST_ENGINE`/`SBST_LANES`/`SBST_GATING`), which itself
-    /// defaults to the compiled engine at 256 lanes. Detections are
-    /// bit-identical across engines; only throughput differs.
+    /// Engine lane width. Defaults to the environment (`SBST_LANES`),
+    /// which itself defaults to 256 lanes. Detections are bit-identical
+    /// across widths; only throughput differs.
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
     /// every escape into a detectability bucket via structural cones +
     /// SCOAP + an activation-evidence replay, and join the escapes
-    /// against the routine map. Pure post-processing on the interpreted
-    /// engine — campaign detections are untouched, and the forensics
-    /// JSON is byte-identical whatever engine/thread count ran the
+    /// against the routine map. Pure post-processing on a 64-lane
+    /// simulator — campaign detections are untouched, and the forensics
+    /// JSON is byte-identical whatever lane width/thread count ran the
     /// campaign. Off by default (the replay costs roughly one extra
-    /// interpreted batch per 63 testable escapes).
+    /// 64-lane batch per 63 testable escapes).
     pub forensics: bool,
 }
 
@@ -107,7 +105,7 @@ impl Default for FlowOptions {
 impl FlowOptions {
     /// Build the campaign hooks these options describe. `label` names
     /// the progress ticker; `total_batches` sizes it (see
-    /// [`campaign::batch_count`]). A trace path that cannot be opened
+    /// [`campaign::batch_count_lanes`]). A trace path that cannot be opened
     /// degrades to disabled tracing with a warning rather than failing
     /// the run.
     pub fn hooks(&self, label: &str, total_batches: u64) -> CampaignHooks {
@@ -264,7 +262,7 @@ pub fn run_campaign_of_threads(
 }
 
 /// [`run_campaign_of_threads`] with observability hooks (trace events +
-/// live progress), on the environment-selected engine. Detections are
+/// live progress), at the environment-selected lane width. Detections are
 /// bit-identical with or without hooks.
 pub fn run_campaign_of_hooks(
     core: &PlasmaCore,
@@ -285,9 +283,8 @@ pub fn run_campaign_of_hooks(
     )
 }
 
-/// The engine-dispatching campaign entry: interpreted 64-lane reference
-/// or compiled multi-word kernel, per `engine`. Detections are
-/// bit-identical across engines, lane widths, and thread counts — only
+/// The campaign entry at an explicit lane width (`engine`). Detections
+/// are bit-identical across lane widths and thread counts — only
 /// throughput (and batch geometry in the stats) differs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
@@ -301,51 +298,36 @@ pub fn run_campaign_of_engine(
 ) -> CampaignResult {
     let [early, late] = core.segments();
     let segments = [early.to_vec(), late.to_vec()];
-    match engine.kind {
-        EngineKind::Interp => {
-            let sim = ParallelSim::with_segments(core.netlist(), &segments);
-            // Each worker's bench shares the hooks' profiler handle, so
-            // the per-cycle phases land in the same profile as the
-            // runner's patch/reset (a disabled handle keeps the plain
-            // step path).
-            let factory = || {
-                SelfTestBench::new(core, program, MEM_BYTES, budget)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            campaign::run_parallel_with(&sim, faults, &factory, threads, hooks)
-        }
-        EngineKind::Compiled => {
-            let before_compile = hooks.profiler.snapshot();
-            let compile_t0 = std::time::Instant::now();
-            let kernel = {
-                // Cache hits cost a fingerprint walk + map probe; misses
-                // the full lowering pass. Either way it's this phase.
-                let _compile = hooks.profiler.scope(ProfilePhase::Compile);
-                fault::kernel::compile_cached(core.netlist(), &segments)
-            };
-            if let Some(reg) = &hooks.metrics {
-                reg.counter(
-                    "sbst_kernel_compile_ns_total",
-                    "Wall time spent in compile_cached (lowering or cache probe)",
-                    &[],
-                )
-                .inc(compile_t0.elapsed().as_nanos() as u64);
-                fault::kernel::export_cache_metrics(reg);
-            }
-            // The runner's profile window starts after this point, so
-            // fold the lowering cost back into the reported profile.
-            let compile_delta = hooks.profiler.snapshot().since(&before_compile);
-            let proto = WideSim::new(kernel, engine.lane_words, engine.gating);
-            let factory = || {
-                WideSelfTestBench::new(core, program, MEM_BYTES, budget, engine.lane_words)
-                    .with_profiler(hooks.profiler.clone())
-            };
-            let mut result =
-                campaign::run_parallel_wide_with(&proto, faults, &factory, threads, hooks);
-            result.stats.profile.absorb(&compile_delta);
-            result
-        }
+    let before_compile = hooks.profiler.snapshot();
+    let compile_t0 = std::time::Instant::now();
+    let kernel = {
+        // Cache hits cost a fingerprint walk + map probe; misses the
+        // full lowering pass. Either way it's this phase.
+        let _compile = hooks.profiler.scope(ProfilePhase::Compile);
+        fault::kernel::compile_cached(core.netlist(), &segments)
+    };
+    if let Some(reg) = &hooks.metrics {
+        reg.counter(
+            "sbst_kernel_compile_ns_total",
+            "Wall time spent in compile_cached (lowering or cache probe)",
+            &[],
+        )
+        .inc(compile_t0.elapsed().as_nanos() as u64);
+        fault::kernel::export_cache_metrics(reg);
     }
+    // The runner's profile window starts after this point, so fold the
+    // lowering cost back into the reported profile.
+    let compile_delta = hooks.profiler.snapshot().since(&before_compile);
+    let proto = ParallelSim::from_kernel(kernel, engine.lane_words);
+    // Each worker's bench shares the hooks' profiler handle, so the
+    // per-cycle phases land in the same profile as the runner's
+    // patch/reset (a disabled handle keeps the plain step path).
+    let factory = || {
+        SelfTestBench::new(core, program, MEM_BYTES, budget).with_profiler(hooks.profiler.clone())
+    };
+    let mut result = campaign::run_parallel_with(&proto, faults, &factory, threads, hooks);
+    result.stats.profile.absorb(&compile_delta);
+    result
 }
 
 /// [`run_campaign_of_threads`] with auto thread count.
@@ -492,8 +474,8 @@ pub fn run_flow(core: &PlasmaCore, phase: Phase, opts: &FlowOptions) -> FlowRepo
         ),
         None => Vec::new(),
     };
-    // Forensics always replays on the interpreted engine so the report
-    // is engine-independent; the campaign result is read, never written.
+    // Forensics replays on a 64-lane simulator whatever width graded
+    // the campaign; the campaign result is read, never written.
     let forensics = opts.forensics.then(|| {
         let [early, late] = core.segments();
         let segments = [early.to_vec(), late.to_vec()];
@@ -541,8 +523,8 @@ mod tests {
             timeline_stride: 500,
             profile: true,
             metrics: Some(MetricRegistry::new()),
-            // Pin the engine so the Compile-phase assertion below holds
-            // regardless of SBST_ENGINE in the environment.
+            // Pin the width so the lanes assertion below holds
+            // regardless of SBST_LANES in the environment.
             engine: EngineConfig::compiled(256),
             ..Default::default()
         };
@@ -554,7 +536,6 @@ mod tests {
         assert!(profile.count(obs::ProfilePhase::EvalEarly) > 0);
         // ...including the one-time kernel lowering...
         assert!(profile.count(obs::ProfilePhase::Compile) > 0);
-        assert_eq!(report.campaign.stats.engine, "compiled");
         assert_eq!(report.campaign.stats.lanes, 256);
         // ...and the registry carries campaign + flow metrics.
         let text = opts.metrics.as_ref().unwrap().to_prometheus();

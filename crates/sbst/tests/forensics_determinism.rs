@@ -1,11 +1,11 @@
-//! Forensics determinism across engines and thread counts.
+//! Forensics determinism across lane widths and thread counts.
 //!
 //! The forensics report is pure post-processing: it replays activation
-//! evidence on the interpreted engine regardless of what engine graded
-//! the campaign, and its JSON carries no timing/engine/thread fields.
-//! So `FORENSICS.json` must be **byte-identical** across thread counts
-//! {1, 4} × engines {interp, compiled-256} — and turning forensics on
-//! must leave the campaign's detection vector untouched.
+//! evidence on a 64-lane simulator whatever width graded the campaign,
+//! and its JSON carries no timing/engine/lane/thread fields. So
+//! `FORENSICS.json` must be **byte-identical** across thread counts
+//! {1, 4} × lane widths {64, 256} — and turning forensics on must leave
+//! the campaign's detection vector untouched.
 
 use fault::EngineConfig;
 use plasma::{PlasmaConfig, PlasmaCore};
@@ -29,11 +29,11 @@ fn forensics_json(report: &FlowReport) -> String {
 }
 
 #[test]
-fn forensics_json_is_byte_identical_across_engines_and_threads() {
+fn forensics_json_is_byte_identical_across_lane_widths_and_threads() {
     let core = PlasmaCore::build(PlasmaConfig::default());
     let configs = [
-        (EngineConfig::interp(), 1usize),
-        (EngineConfig::interp(), 4),
+        (EngineConfig::compiled(64), 1usize),
+        (EngineConfig::compiled(64), 4),
         (EngineConfig::compiled(256), 1),
         (EngineConfig::compiled(256), 4),
     ];
@@ -50,13 +50,13 @@ fn forensics_json_is_byte_identical_across_engines_and_threads() {
             Some((ref_json, ref_det)) => {
                 assert_eq!(
                     ref_det, &report.campaign.detections,
-                    "detections differ at engine={} threads={threads}",
-                    report.campaign.stats.engine
+                    "detections differ at lanes={} threads={threads}",
+                    report.campaign.stats.lanes
                 );
                 assert_eq!(
                     ref_json, &json,
-                    "FORENSICS.json differs at engine={} threads={threads}",
-                    report.campaign.stats.engine
+                    "FORENSICS.json differs at lanes={} threads={threads}",
+                    report.campaign.stats.lanes
                 );
             }
         }

@@ -19,8 +19,8 @@ fn parwan_campaign_identical_across_thread_counts() {
     let test = parwan::sbst::deterministic_selftest();
     let serial = parwan::sbst::grade_threads(&core, &test, &faults, 1);
     assert_eq!(serial.stats.threads, 1);
-    // Batch count follows the engine's lane width (the default engine is
-    // resolved from `SBST_ENGINE`/`SBST_LANES`, so derive, don't assume).
+    // Batch count follows the engine's lane width (the default width is
+    // resolved from `SBST_LANES`, so derive, don't assume).
     assert_eq!(
         serial.stats.batches,
         campaign::batch_count_lanes(&faults, serial.stats.lanes as usize)
