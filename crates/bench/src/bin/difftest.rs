@@ -3,7 +3,7 @@
 //! ```text
 //! difftest --seeds 64                  # fuzz 64 random programs, ISS vs netlist
 //! difftest --seeds 8 --instrs 200     # longer random bodies
-//! difftest --threads 4                # worker threads (default: SBST_THREADS/cores)
+//! difftest --threads 4                # worker threads (default: all cores)
 //! difftest --seed-start 1000          # shift the seed window
 //! difftest --no-feedback              # disable coverage-feedback scheduling
 //! difftest --inject                   # demo: inject a netlist fault, localize,
@@ -208,19 +208,18 @@ fn main() -> ExitCode {
         }
     }
 
-    let tracer = match &trace_path {
+    let mut tracer = match &trace_path {
         Some(p) => Tracer::to_path(p).expect("open trace file"),
         None => Tracer::disabled(),
     };
     let metrics = (metrics_out.is_some() || serve_port.is_some()).then(MetricRegistry::new);
-    let mut events: Option<obs::EventBus> = None;
     let mut serving = false;
     if let Some(port) = serve_port {
         // The observatory goes live *before* the fuzzing run so the
         // dashboard, SSE stream, and timeline watch it as it happens.
         let reg = metrics.clone().expect("serve registry");
         let bus = obs::EventBus::new(1024);
-        events = Some(bus.clone());
+        tracer = tracer.with_bus(bus.clone());
         let timeline =
             obs::Timeline::start(reg.clone(), std::time::Duration::from_millis(250), 2400);
         let tp = trace_path.clone();
@@ -268,7 +267,6 @@ fn main() -> ExitCode {
         tracer,
         progress: progress.then(|| Progress::new("difftest", cfg.seeds)),
         metrics: metrics.clone(),
-        events,
     };
 
     let mut status = ExitCode::SUCCESS;

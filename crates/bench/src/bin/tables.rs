@@ -58,10 +58,12 @@
 //! also writes `results/TRACE_<mode>.trace.json` at exit. Campaign
 //! results are bit-identical with the observatory on or off.
 //!
-//! Campaign thread count defaults to the `SBST_THREADS` environment
-//! variable, else the machine's available parallelism; coverage numbers
-//! are bit-identical at every thread count — with or without
-//! observability enabled.
+//! `--threads N` sets the campaign thread count (default: the machine's
+//! available parallelism) and `--lanes N` the lane width (default 256)
+//! for every campaign of the run; coverage numbers are bit-identical at
+//! every thread count and width — with or without observability
+//! enabled. One tracer carries the whole run, so `--trace FILE` holds
+//! every campaign the run grades.
 
 use std::io::Write as _;
 
@@ -529,7 +531,11 @@ fn main() {
     }
 
     if stats {
-        let e = bench::campaign_benchmark(&opts);
+        let e = bench::campaign_benchmark(
+            &opts.flow_options(),
+            &opts.engine_sweep(),
+            opts.verify_interp,
+        );
         println!("==== {} — {} ====", e.id, e.title);
         println!("{}", e.text);
         let path = "results/BENCH_campaign.json";

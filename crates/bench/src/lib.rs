@@ -22,7 +22,7 @@ use fault::coverage::CoverageReport;
 use fault::model::FaultList;
 use fault::EngineConfig;
 use netlist::synth::TechStyle;
-use obs::{LedgerRecord, MetricRegistry};
+use obs::{LedgerRecord, MetricRegistry, Tracer};
 use plasma::{PlasmaConfig, PlasmaCore, COMPONENT_NAMES};
 use sbst::classify::{self, ComponentClass};
 use sbst::cost::CostModel;
@@ -344,9 +344,9 @@ pub struct RunOptions {
     pub sample: Option<usize>,
     /// RNG seed for sampling.
     pub seed: u64,
-    /// Campaign worker threads; 0 = auto (`SBST_THREADS` env var, else
-    /// available parallelism). Coverage numbers are identical at every
-    /// thread count.
+    /// Campaign worker threads (`--threads`); 0 = auto (available
+    /// parallelism). Coverage numbers are identical at every thread
+    /// count.
     pub threads: usize,
     /// Live batch-progress ticker on stderr (`--progress`).
     pub progress: bool,
@@ -359,10 +359,11 @@ pub struct RunOptions {
     /// `--serve`); cloning shares the underlying store.
     pub metrics: Option<MetricRegistry>,
     /// Live event bus for the observatory's `/events` SSE route
-    /// (`--serve`); campaign begin/batch/end events land here.
+    /// (`--serve`); the run's tracer publishes every campaign
+    /// begin/batch/end event here as well as to `trace_path`.
     pub events: Option<obs::EventBus>,
-    /// Engine lane width for campaign-bearing experiments (`--lanes N`,
-    /// `SBST_LANES`).
+    /// Engine lane width for campaign-bearing experiments (`--lanes N`;
+    /// 256 lanes by default).
     pub engine: EngineConfig,
     /// Lane widths swept by `--stats` (`--lanes 64,256`); empty sweeps
     /// only the configured engine width.
@@ -386,7 +387,7 @@ impl Default for RunOptions {
             profile: false,
             metrics: None,
             events: None,
-            engine: EngineConfig::from_env(),
+            engine: EngineConfig::default(),
             lanes_sweep: Vec::new(),
             verify_interp: false,
         }
@@ -394,16 +395,30 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    fn flow_options(&self) -> FlowOptions {
+    /// The flow options of one run. The trace file is opened here, once,
+    /// and the tracer also publishes to the live bus, so every campaign
+    /// of the run lands in one stream with one clock. A trace path that
+    /// cannot be opened degrades to no trace file, with a warning,
+    /// rather than failing the run.
+    pub fn flow_options(&self) -> FlowOptions {
+        let mut tracer = match &self.trace_path {
+            Some(p) => Tracer::to_path(p).unwrap_or_else(|e| {
+                eprintln!("warning: cannot open trace file {}: {e}", p.display());
+                Tracer::disabled()
+            }),
+            None => Tracer::disabled(),
+        };
+        if let Some(bus) = &self.events {
+            tracer = tracer.with_bus(bus.clone());
+        }
         FlowOptions {
             fault_sample: self.sample,
             seed: self.seed,
             threads: self.threads,
             progress: self.progress,
-            trace_path: self.trace_path.clone(),
+            tracer,
             profile: self.profile,
             metrics: self.metrics.clone(),
-            events: self.events.clone(),
             engine: self.engine,
             ..Default::default()
         }
@@ -443,14 +458,13 @@ fn coverage_json(report: &CoverageReport) -> serde_json::Value {
 
 /// Table 5: per-component fault coverage with successive phase test
 /// development (the paper's headline table), plus the Phase C extension.
-pub fn table_5(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
-    let fo = opts.flow_options();
+pub fn table_5(core: &PlasmaCore, fo: &FlowOptions) -> Experiment {
     let mut text = String::new();
     let mut data = serde_json::Map::new();
     let mut header = format!("{:<22}", "Component");
     let mut reports = Vec::new();
     for phase in [Phase::A, Phase::B, Phase::C] {
-        let r = flow::run_flow(core, phase, &fo);
+        let r = flow::run_flow(core, phase, fo);
         header.push_str(&format!(
             " {:>9} {:>7}",
             format!("{} FC", short_phase(phase)),
@@ -513,8 +527,7 @@ fn short_phase(p: Phase) -> &'static str {
 
 /// Re-synthesis experiment: the methodology's claim of technology
 /// independence — similar coverage on a different library/style.
-pub fn table_retech(opts: &RunOptions) -> Experiment {
-    let fo = opts.flow_options();
+pub fn table_retech(fo: &FlowOptions) -> Experiment {
     let mut text = format!(
         "{:<24} {:>10} {:>12} {:>12}\n",
         "Style", "NAND2", "Phase A FC%", "Phase A+B FC%"
@@ -522,8 +535,8 @@ pub fn table_retech(opts: &RunOptions) -> Experiment {
     let mut rows = Vec::new();
     for style in [TechStyle::RippleMux, TechStyle::ClaAoi] {
         let core = PlasmaCore::build(PlasmaConfig { style });
-        let a = flow::run_flow(&core, Phase::A, &fo);
-        let b = flow::run_flow(&core, Phase::B, &fo);
+        let a = flow::run_flow(&core, Phase::A, fo);
+        let b = flow::run_flow(&core, Phase::B, fo);
         text.push_str(&format!(
             "{:<24} {:>10.0} {:>12.2} {:>12.2}\n",
             style.name(),
@@ -546,11 +559,28 @@ pub fn table_retech(opts: &RunOptions) -> Experiment {
     )
 }
 
+/// Grade `program` at the run's thread count and lane width, without
+/// hooks: the campaigns that are not a flow run (the `prcomp` baseline
+/// programs and the `misr` ablation's ALU+BSH runs) emit no events.
+fn grade_unannounced(
+    core: &PlasmaCore,
+    program: &mips::Program,
+    faults: &FaultList,
+    budget: u64,
+    fo: &FlowOptions,
+) -> CampaignResult {
+    let hooks = CampaignHooks::none();
+    flow::run_campaign_of_engine(core, program, faults, budget, fo.threads, &hooks, fo.engine)
+}
+
 /// Comparison against the pseudorandom (Chen & Dey-style) and
 /// random-instruction baselines on the Plasma-class core.
-pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
-    let fo = opts.flow_options();
-    let faults = flow::fault_list(core, &fo);
+pub fn table_baselines(core: &PlasmaCore, fo: &FlowOptions) -> Experiment {
+    let faults = flow::fault_list(core, fo);
+    let grade = |program: &mips::Program, cycles: u64| {
+        let res = grade_unannounced(core, program, &faults, cycles + 64, fo);
+        CoverageReport::from_campaign(core.netlist(), &res)
+    };
     let cost_model = CostModel::default();
     let mut text = format!(
         "{:<34} {:>7} {:>8} {:>8} {:>10}\n",
@@ -575,7 +605,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
     };
 
     // Deterministic Phase A+B.
-    let det = flow::run_flow(core, Phase::B, &fo);
+    let det = flow::run_flow(core, Phase::B, fo);
     push(
         &mut text,
         &mut rows,
@@ -596,8 +626,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
         };
         let pr = baselines::lfsr::build_program(&cfg).expect("assembles");
         let cycles = flow::golden_cycles_of(&pr.program);
-        let res = flow::run_campaign_of(core, &pr.program, &faults, cycles + 64);
-        let report = CoverageReport::from_campaign(core.netlist(), &res);
+        let report = grade(&pr.program, cycles);
         push(
             &mut text,
             &mut rows,
@@ -622,8 +651,7 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
             2_000_000,
         );
         let cycles = trace.len() as u64;
-        let res = flow::run_campaign_of(core, &p, &faults, cycles + 64);
-        let report = CoverageReport::from_campaign(core.netlist(), &res);
+        let report = grade(&p, cycles);
         push(
             &mut text,
             &mut rows,
@@ -644,27 +672,20 @@ pub fn table_baselines(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
 
 /// The Section 1 prior-work comparison on the Parwan-class core:
 /// deterministic SBST vs LFSR-expansion SBST.
-pub fn table_parwan(opts: &RunOptions) -> Experiment {
+pub fn table_parwan(fo: &FlowOptions) -> Experiment {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
-    let hooks = CampaignHooks {
-        profiler: if opts.profile {
-            obs::Profiler::new()
-        } else {
-            obs::Profiler::disabled()
-        },
-        metrics: opts.metrics.clone(),
-        events: opts.events.clone(),
-        ..Default::default()
+    let grade = |label: &str, test: &parwan::sbst::ParwanSelfTest| {
+        let batches = campaign::batch_count_lanes(&faults, fo.engine.lanes());
+        let hooks = fo.hooks(label, batches);
+        parwan::sbst::grade(&core, test, &faults, fo.threads, fo.engine, &hooks)
     };
     let det = parwan::sbst::deterministic_selftest();
     let det_cycles = parwan::sbst::golden_cycles(&det);
-    let det_res =
-        parwan::sbst::grade_hooks(&core, &det, &faults, opts.threads, opts.engine, &hooks);
+    let det_res = grade("Parwan deterministic", &det);
     let pr = parwan::sbst::lfsr_selftest(48);
     let pr_cycles = parwan::sbst::golden_cycles(&pr);
-    let pr_res =
-        parwan::sbst::grade_hooks(&core, &pr, &faults, opts.threads, opts.engine, &hooks);
+    let pr_res = grade("Parwan LFSR", &pr);
 
     let mut text = format!(
         "Parwan-class core: {:.0} NAND2, {} collapsed faults\n\n",
@@ -782,12 +803,11 @@ pub fn table_testability(core: &PlasmaCore) -> Experiment {
 /// Optimized-netlist ablation: run Phase A+B coverage on the
 /// constant-folded, swept netlist (what a synthesis tool would hand the
 /// fault simulator).
-pub fn table_optnet(opts: &RunOptions) -> Experiment {
-    let fo = opts.flow_options();
+pub fn table_optnet(fo: &FlowOptions) -> Experiment {
     let base = PlasmaCore::build(PlasmaConfig::default());
     let (opt, stats) = PlasmaCore::optimized(PlasmaConfig::default());
-    let rb = flow::run_flow(&base, Phase::B, &fo);
-    let ro = flow::run_flow(&opt, Phase::B, &fo);
+    let rb = flow::run_flow(&base, Phase::B, fo);
+    let ro = flow::run_flow(&opt, Phase::B, fo);
     let mut text = format!(
         "optimizer: {} -> {} gates ({} folded, {} swept)
 
@@ -829,24 +849,19 @@ pub fn table_optnet(opts: &RunOptions) -> Experiment {
 /// Response-compaction ablation: the paper's store-everything observation
 /// vs a software MISR, graded on the fault lists of the two routines the
 /// comparison swaps (ALU and shifter).
-pub fn table_misr(core: &PlasmaCore, opts: &RunOptions) -> Experiment {
-    let fo = opts.flow_options();
+pub fn table_misr(core: &PlasmaCore, fo: &FlowOptions) -> Experiment {
     let nl = core.netlist();
-    let all = flow::fault_list(core, &fo);
+    let all = flow::fault_list(core, fo);
     let alu = nl.component_by_name("ALU").unwrap();
     let bsh = nl.component_by_name("BSH").unwrap();
     let faults = all.filter(|_, c| c == alu || c == bsh);
 
-    let store_all = flow::run_flow(core, Phase::A, &fo);
-    let store_res = flow::run_campaign(
-        core,
-        &store_all.selftest,
-        &faults,
-        store_all.golden_cycles + 64,
-    );
+    let store_all = flow::run_flow(core, Phase::A, fo);
+    let store_budget = store_all.golden_cycles + 64;
+    let store_res = grade_unannounced(core, &store_all.selftest.program, &faults, store_budget, fo);
     let misr = sbst::signature::misr_program().expect("assembles");
     let misr_cycles = flow::golden_cycles(&misr);
-    let misr_res = flow::run_campaign(core, &misr, &faults, misr_cycles + 64);
+    let misr_res = grade_unannounced(core, &misr.program, &faults, misr_cycles + 64, fo);
 
     let mut text = format!(
         "{:<30} {:>8} {:>9} {:>14}
@@ -895,8 +910,10 @@ pub const EXPERIMENT_IDS: [&str; 14] = [
 
 /// Run the experiments whose id passes `filter`, lazily (cheap tables
 /// don't trigger fault simulation and vice versa). `opts.sample = None`
-/// gives the exact full-fault-list numbers.
+/// gives the exact full-fault-list numbers. Every campaign of the run
+/// shares one tracer, so `opts.trace_path` holds all of them.
 pub fn run_selected(opts: &RunOptions, mut filter: impl FnMut(&str) -> bool) -> Vec<Experiment> {
+    let fo = opts.flow_options();
     let mut out = Vec::new();
     let mut core: Option<PlasmaCore> = None;
     fn core_ref(core: &mut Option<PlasmaCore>) -> &PlasmaCore {
@@ -915,12 +932,12 @@ pub fn run_selected(opts: &RunOptions, mut filter: impl FnMut(&str) -> bool) -> 
             "table2" => table_2(),
             "table3" => table_3(core_ref(&mut core)),
             "table4" => table_4(),
-            "table5" => table_5(core_ref(&mut core), opts),
-            "retech" => table_retech(opts),
-            "prcomp" => table_baselines(core_ref(&mut core), opts),
-            "parwan" => table_parwan(opts),
-            "optnet" => table_optnet(opts),
-            "misr" => table_misr(core_ref(&mut core), opts),
+            "table5" => table_5(core_ref(&mut core), &fo),
+            "retech" => table_retech(&fo),
+            "prcomp" => table_baselines(core_ref(&mut core), &fo),
+            "parwan" => table_parwan(&fo),
+            "optnet" => table_optnet(&fo),
+            "misr" => table_misr(core_ref(&mut core), &fo),
             _ => unreachable!(),
         });
     }
@@ -986,40 +1003,43 @@ fn stats_line(label: &str, r: &CampaignResult) -> String {
 
 /// The campaign throughput benchmark behind `tables --stats`: grade the
 /// Phase A+B self-test over the sampled fault list serially and at the
-/// requested (or auto) thread count for every lane width in the sweep,
+/// requested (or auto) thread count for every lane width in `engines`,
 /// verify the detections are bit-identical across threads, lane widths
-/// and (under `--verify-serial`) the serial single-fault oracle, and
-/// report wall
-/// time / Mlane-cycles/s / speedup. The driver writes the JSON payload
-/// to `results/BENCH_campaign.json`.
-pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
+/// and (with `verify_serial`) the serial single-fault oracle, and
+/// report wall time / Mlane-cycles/s / speedup. `tables --stats` writes the
+/// JSON payload to `results/BENCH_campaign.json`.
+pub fn campaign_benchmark(
+    fo: &FlowOptions,
+    engines: &[EngineConfig],
+    verify_serial: bool,
+) -> Experiment {
     let core = PlasmaCore::build(PlasmaConfig::default());
-    let fo = opts.flow_options();
     let selftest = sbst::phases::build_program(Phase::B).expect("assembles");
     let golden = flow::golden_cycles(&selftest);
-    let faults = flow::fault_list(&core, &fo);
+    let faults = flow::fault_list(&core, fo);
     let budget = golden + fo.cycle_margin;
-    let threads = if opts.threads == 0 {
+    let threads = if fo.threads == 0 {
         campaign::default_threads()
     } else {
-        opts.threads
+        fo.threads
     };
-
-    let hooks = campaign::CampaignHooks {
-        profiler: if opts.profile {
-            obs::Profiler::new()
-        } else {
-            obs::Profiler::disabled()
-        },
-        metrics: opts.metrics.clone(),
-        events: opts.events.clone(),
-        ..Default::default()
+    let grade = |label: &str, threads: usize, engine: EngineConfig| {
+        let batches = campaign::batch_count_lanes(&faults, engine.lanes());
+        let hooks = fo.hooks(label, batches);
+        flow::run_campaign_of_engine(
+            &core,
+            &selftest.program,
+            &faults,
+            budget,
+            threads,
+            &hooks,
+            engine,
+        )
     };
-    let combos = opts.engine_sweep();
 
     // Serial single-fault oracle detections, run once when
     // verification is requested.
-    let oracle = opts.verify_interp.then(|| {
+    let oracle = verify_serial.then(|| {
         plasma::testbench::serial_detections(
             &core,
             &selftest.program,
@@ -1045,16 +1065,8 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
     // with an oracle run means every combo matched it.
     let serial_oracle_match = oracle.is_some();
     let mut last_profiled: Option<campaign::CampaignStats> = None;
-    for engine in &combos {
-        let serial = flow::run_campaign_of_engine(
-            &core,
-            &selftest.program,
-            &faults,
-            budget,
-            1,
-            &hooks,
-            *engine,
-        );
+    for &engine in engines {
+        let serial = grade("serial", 1, engine);
         let coverage_pct = 100.0 * serial.coverage();
         if let Some(reference) = &oracle {
             assert_eq!(
@@ -1071,15 +1083,7 @@ pub fn campaign_benchmark(opts: &RunOptions) -> Experiment {
         // throughput trend matters.
         let mut rec = campaign_ledger_record("tables-stats", &core, &serial, Some(coverage_pct));
         if threads > 1 {
-            let par = flow::run_campaign_of_engine(
-                &core,
-                &selftest.program,
-                &faults,
-                budget,
-                threads,
-                &hooks,
-                *engine,
-            );
+            let par = grade("parallel", threads, engine);
             assert_eq!(
                 par.detections, serial.detections,
                 "parallel campaign diverged from serial"
@@ -1641,6 +1645,29 @@ mod tests {
         assert!(f3.text.contains("Phase A+B"));
         let f4 = figure_4_component_flow();
         assert!(f4.text.contains("MCTRL"));
+    }
+
+    /// One run writes one trace: Table 5 grades Phases A, A+B and
+    /// A+B+C, and the trace file holds all three campaigns.
+    #[test]
+    fn table5_trace_holds_every_phase_campaign() {
+        let name = format!("sbst_table5_trace_{}.jsonl", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        let opts = RunOptions {
+            sample: Some(300),
+            threads: 2,
+            trace_path: Some(path.clone()),
+            ..Default::default()
+        };
+        assert_eq!(run_selected(&opts, |id| id == "table5").len(), 1);
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        std::fs::remove_file(&path).ok();
+        let count = |ev: &str| {
+            let tag = format!("\"ev\":\"{ev}\"");
+            text.lines().filter(|l| l.contains(&tag)).count()
+        };
+        assert_eq!(count("campaign_begin"), 3, "{text}");
+        assert_eq!(count("campaign_end"), 3, "{text}");
     }
 
     #[test]

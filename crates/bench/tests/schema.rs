@@ -112,7 +112,7 @@ fn generated_benchmark_payload_matches_schema() {
         lanes_sweep: vec![64, 256],
         ..Default::default()
     };
-    let e = bench::campaign_benchmark(&opts);
+    let e = bench::campaign_benchmark(&opts.flow_options(), &opts.engine_sweep(), false);
     let text = serde_json::to_string_pretty(&e.data).expect("serialize");
     let doc = serde_json::from_str(&text).expect("round trip");
     // Integral floats re-parse as integers, so compare the parsed form

@@ -53,8 +53,10 @@ impl Default for FuzzConfig {
 }
 
 /// Observability hooks for a fuzzing run.
+#[derive(Default)]
 pub struct FuzzHooks {
-    /// Structured JSONL tracer (disabled by default).
+    /// Structured event sink and live bus (disabled by default; see
+    /// [`Tracer::with_bus`]).
     pub tracer: Tracer,
     /// Progress ticker over seeds.
     pub progress: Option<Progress>,
@@ -63,31 +65,6 @@ pub struct FuzzHooks {
     /// `difftest_seeds_per_sec` gauge. Updates happen at wave
     /// granularity, never inside the lockstep loop.
     pub metrics: Option<MetricRegistry>,
-    /// Live event bus receiving the same `difftest_begin`/`divergence`/
-    /// `wave`/`end` events the tracer logs, for SSE subscribers.
-    /// Bounded drop-oldest: publishing never blocks the wave loop.
-    pub events: Option<obs::EventBus>,
-}
-
-impl Default for FuzzHooks {
-    fn default() -> FuzzHooks {
-        FuzzHooks {
-            tracer: Tracer::disabled(),
-            progress: None,
-            metrics: None,
-            events: None,
-        }
-    }
-}
-
-impl FuzzHooks {
-    /// Send one event to the tracer and the live bus (whichever are on).
-    fn emit(&self, kind: &str, fields: &[(&str, Value)]) {
-        self.tracer.event(kind, fields);
-        if let Some(bus) = &self.events {
-            bus.publish(kind, fields);
-        }
-    }
 }
 
 /// Per-seed outcome, in seed order.
@@ -155,7 +132,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         body_len: cfg.body_len,
         ..GenConfig::default()
     };
-    hooks.emit(
+    hooks.tracer.event(
         "difftest_begin",
         &[
             ("seeds", Value::U64(cfg.seeds)),
@@ -226,7 +203,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
                 .unwrap()
                 .expect("every wave slot is filled");
             if let Some(d) = &outcome.divergence {
-                hooks.emit(
+                hooks.tracer.event(
                     "difftest_divergence",
                     &[
                         ("seed", Value::U64(outcome.seed)),
@@ -249,7 +226,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         wave_idx += 1;
         if cfg.feedback {
             gen_cfg = exercise.reweight(&gen_cfg);
-            hooks.emit(
+            hooks.tracer.event(
                 "difftest_wave",
                 &[
                     ("wave", Value::U64(wave_idx)),
@@ -261,7 +238,7 @@ pub fn fuzz_plasma(core: &PlasmaCore, cfg: &FuzzConfig, hooks: &FuzzHooks) -> Fu
         }
     }
 
-    hooks.emit(
+    hooks.tracer.event(
         "difftest_end",
         &[
             ("seeds", Value::U64(outcomes.len() as u64)),

@@ -8,21 +8,21 @@
 //! reference. Batches end early once all their faults are detected
 //! (fault dropping).
 //!
-//! The runners drive the bit-parallel [`ParallelSim`] (64–512 lanes)
-//! through a [`Testbench`]: [`run`] serially, [`run_parallel`] over
-//! worker threads pulling batches off a cache-line-padded atomic
-//! cursor, each worker owning its own simulator state over one shared,
-//! immutable compiled kernel (`Arc`). Batches are independent — the
-//! simulator state is rebuilt from scratch per batch — so the merged
-//! result is bit-identical to the serial one at every thread count, and
-//! a fault's detection is independent of lane width. The serial
-//! single-fault oracle in [`crate::serial`] is the reference both are
-//! tested against.
+//! The one runner, [`run_parallel`], drives the bit-parallel
+//! [`ParallelSim`] (64–512 lanes) through a [`Testbench`] over worker
+//! threads pulling batches off a cache-line-padded atomic cursor, each
+//! worker owning its own simulator state over one shared, immutable
+//! compiled kernel (`Arc`); one worker runs on the calling thread.
+//! Batches are independent — the simulator state is rebuilt from
+//! scratch per batch — so the merged result is bit-identical at every
+//! thread count, and a fault's detection is independent of lane width.
+//! The serial single-fault oracle in [`crate::serial`] is the reference
+//! it is tested against.
 //!
-//! Both have `*_with` variants taking [`CampaignHooks`]: an optional
-//! structured [`obs::Tracer`] (JSONL `campaign`/`batch` events with
-//! thread ids and wall-clock deltas) and an optional [`obs::Progress`]
-//! ticker. Every run also folds execution metrics into
+//! The runner takes [`CampaignHooks`]: a structured [`obs::Tracer`]
+//! (`campaign`/`batch` events with thread ids and wall-clock deltas, to
+//! a JSONL file and/or a live event bus) and an optional
+//! [`obs::Progress`] ticker. Every run also folds execution metrics into
 //! [`CampaignStats`]: cycles vs budget, a detection-latency histogram,
 //! and per-worker batch/cycle/wall throughput. With hooks disabled (the
 //! default) the instrumentation reduces to one branch per *batch*, so
@@ -34,8 +34,7 @@ use std::time::Instant;
 
 use netlist::Netlist;
 use obs::{
-    EventBus, LatencyHistogram, MetricRegistry, PhaseProfile, ProfilePhase, Profiler, Progress,
-    Tracer,
+    LatencyHistogram, MetricRegistry, PhaseProfile, ProfilePhase, Profiler, Progress, Tracer,
 };
 use serde_json::Value;
 
@@ -94,7 +93,7 @@ impl Detection {
 /// these expose how well the dynamic batch cursor balanced the load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStats {
-    /// Worker index (spawn order; 0 for the serial runner).
+    /// Worker index (spawn order; 0 for a one-worker run).
     pub worker: usize,
     /// Batches this worker pulled off the cursor.
     pub batches: u64,
@@ -184,7 +183,8 @@ pub(crate) fn latency_of(detections: &[Detection]) -> LatencyHistogram {
 }
 
 /// Observability hooks a campaign runner threads through its batch loop:
-/// a structured tracer for `campaign`/`batch` events, an optional
+/// a structured tracer for `campaign`/`batch` events (to a JSONL file,
+/// a live event bus, or both — see [`Tracer::with_bus`]), an optional
 /// live-progress ticker, a hot-loop [`Profiler`], and an optional
 /// [`MetricRegistry`] receiving batch/cycle/detection counters. All are
 /// cheap clonable handles; the default is fully disabled and adds one
@@ -192,7 +192,7 @@ pub(crate) fn latency_of(detections: &[Detection]) -> LatencyHistogram {
 /// stay bit-identical with hooks on or off.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignHooks {
-    /// Structured event sink (disabled by default).
+    /// Structured event sink and live bus (disabled by default).
     pub tracer: Tracer,
     /// Live batch-progress counters + stderr ticker.
     pub progress: Option<Progress>,
@@ -205,25 +205,12 @@ pub struct CampaignHooks {
     /// `sbst_faults_detected_total`, a detection-latency histogram, and
     /// a throughput gauge. Updates happen at batch granularity.
     pub metrics: Option<MetricRegistry>,
-    /// Live event bus receiving the same `campaign_begin`/`batch`/
-    /// `campaign_end` events the tracer logs, for SSE subscribers.
-    /// Bounded and drop-oldest: publishing never blocks the batch loop.
-    pub events: Option<EventBus>,
 }
 
 impl CampaignHooks {
-    /// Hooks with everything disabled (what [`run`]/[`run_parallel`]
-    /// use).
+    /// Hooks with everything disabled.
     pub fn none() -> CampaignHooks {
         CampaignHooks::default()
-    }
-
-    /// Hooks writing trace events to `tracer`.
-    pub fn with_tracer(tracer: Tracer) -> CampaignHooks {
-        CampaignHooks {
-            tracer,
-            ..CampaignHooks::default()
-        }
     }
 }
 
@@ -384,15 +371,7 @@ impl CampaignResult {
     }
 }
 
-/// Whether per-batch observability events (and therefore batch wall
-/// timing) are wanted: either sink active. Results stay bit-identical
-/// regardless — the timing never feeds back into simulation.
-fn batch_events_on(hooks: &CampaignHooks) -> bool {
-    hooks.tracer.enabled() || hooks.events.is_some()
-}
-
-/// Emit the `campaign_begin` event shared by all runners to the tracer
-/// and the live event bus.
+/// Emit the `campaign_begin` event.
 #[allow(clippy::too_many_arguments)]
 fn trace_campaign_begin(
     hooks: &CampaignHooks,
@@ -403,7 +382,7 @@ fn trace_campaign_begin(
     threads: usize,
     lanes: usize,
 ) {
-    if !batch_events_on(hooks) {
+    if !hooks.tracer.enabled() {
         return;
     }
     let fields = [
@@ -418,18 +397,14 @@ fn trace_campaign_begin(
         ("dffs", Value::U64(g.dffs as u64)),
         ("segments", Value::U64(g.segments as u64)),
     ];
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("campaign_begin", &fields);
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("campaign_begin", &fields);
-    }
+    hooks.tracer.event("campaign_begin", &fields);
 }
 
-/// Emit the per-batch event (all runners; the tracer also stamps the
-/// emitting thread's id). `dur_us` is the batch's wall time, measured
-/// only when some sink is listening — it lets the trace exporter draw
-/// batches as slices instead of instants.
+/// Emit the per-batch event (the JSONL line also carries the emitting
+/// thread's id). `dur_us` is the batch's wall time, measured only when
+/// the tracer is on — it lets the trace exporter draw batches as slices
+/// instead of instants. Results stay bit-identical regardless: the
+/// timing never feeds back into simulation.
 fn trace_batch(
     hooks: &CampaignHooks,
     batch: usize,
@@ -438,7 +413,7 @@ fn trace_batch(
     cycles: u64,
     dur_us: Option<u64>,
 ) {
-    if !batch_events_on(hooks) {
+    if !hooks.tracer.enabled() {
         return;
     }
     let detected = out.iter().filter(|d| d.is_detected()).count();
@@ -452,17 +427,12 @@ fn trace_batch(
     if let Some(d) = dur_us {
         fields.push(("dur_us", Value::U64(d)));
     }
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("batch", &fields);
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("batch", &fields);
-    }
+    hooks.tracer.event("batch", &fields);
 }
 
 /// Emit the `campaign_end` event and flush the tracer sink.
 fn trace_campaign_end(hooks: &CampaignHooks, stats: &CampaignStats) {
-    if !batch_events_on(hooks) {
+    if !hooks.tracer.enabled() {
         return;
     }
     let fields = [
@@ -471,13 +441,8 @@ fn trace_campaign_end(hooks: &CampaignHooks, stats: &CampaignStats) {
         ("dropped", Value::U64(stats.faults_dropped)),
         ("wall_us", Value::U64((stats.wall_seconds * 1e6) as u64)),
     ];
-    if hooks.tracer.enabled() {
-        hooks.tracer.event("campaign_end", &fields);
-        hooks.tracer.flush();
-    }
-    if let Some(bus) = &hooks.events {
-        bus.publish("campaign_end", &fields);
-    }
+    hooks.tracer.event("campaign_end", &fields);
+    hooks.tracer.flush();
 }
 
 /// Creates one testbench instance per worker thread of a parallel
@@ -503,19 +468,12 @@ impl<T: Testbench, F: Fn() -> T + Sync> TestbenchFactory for F {
     }
 }
 
-/// Number of worker threads a campaign should use: the `SBST_THREADS`
-/// environment variable if set to a positive integer, otherwise
+/// Number of worker threads a campaign uses when asked for 0:
 /// [`std::thread::available_parallelism`].
 pub fn default_threads() -> usize {
-    match std::env::var("SBST_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Simulate one batch of up to `lanes - 1` faults: inject, reset, run
@@ -617,7 +575,7 @@ fn drain(
     hooks: &CampaignHooks,
 ) -> WorkerStats {
     let tw = Instant::now();
-    let timing = batch_events_on(hooks);
+    let timing = hooks.tracer.enabled();
     // Per-worker handle clones share the same atomic accumulators, so
     // updates merge for free.
     let counters = hooks.metrics.as_ref().map(BatchCounters::of);
@@ -689,60 +647,26 @@ fn finish(
     }
 }
 
-/// Run a campaign: simulate every fault in `faults` against the stimulus
-/// of `tb`, in batches of `sim.lanes() - 1` plus the lane-0 reference.
+/// Run a campaign: simulate every fault in `faults` against the
+/// stimulus of `factory`'s testbenches, in batches of `lanes - 1` plus
+/// the lane-0 reference, across `threads` worker threads (0 = use
+/// [`default_threads`]).
 ///
-/// `sim` must have been built over the same netlist the faults refer to;
-/// it is reused across batches (cheaper than reallocating).
-pub fn run(sim: &mut ParallelSim, faults: &FaultList, tb: &mut dyn Testbench) -> CampaignResult {
-    run_with(sim, faults, tb, &CampaignHooks::none())
-}
-
-/// [`run`] with observability hooks: emits `campaign_begin`, one `batch`
-/// event per batch, and `campaign_end` to `hooks.tracer`, and ticks
-/// `hooks.progress` once per batch. Detections are identical to [`run`]
-/// — the hooks never touch simulation state.
-pub fn run_with(
-    sim: &mut ParallelSim,
-    faults: &FaultList,
-    tb: &mut dyn Testbench,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    let t0 = Instant::now();
-    let profile_start = hooks.profiler.snapshot();
-    let budget = tb.cycles();
-    trace_campaign_begin(hooks, "serial", sim.stats(), faults, budget, 1, sim.lanes());
-    let mut detections = vec![Detection::Undetected; faults.len()];
-    let work = Work::new(faults, &mut detections, sim.lanes(), budget);
-    let worker = drain(sim, tb, &work, 0, hooks);
-    drop(work);
-    finish(hooks, faults, detections, vec![worker], budget, t0, &profile_start)
-}
-
-/// Run a campaign across `threads` worker threads (0 = use
-/// [`default_threads`]). Each worker clones `proto` — per-worker lane
-/// state over the shared, immutable compiled kernel (`Arc`), i.e.
-/// kernel affinity without duplicating the lowered program — builds its
-/// own testbench from `factory`, and pulls `lanes - 1`-fault batches off
-/// a shared atomic cursor: dynamic load balancing, because fault
-/// dropping makes batch runtimes uneven. Detections are written into
+/// Each worker clones `proto` — per-worker lane state over the shared,
+/// immutable compiled kernel (`Arc`), i.e. kernel affinity without
+/// duplicating the lowered program — builds its own testbench from
+/// `factory`, and pulls batches off a shared atomic cursor: dynamic
+/// load balancing, because fault dropping makes batch runtimes uneven.
+/// One worker runs on the calling thread. Detections are written into
 /// disjoint per-batch slices of one result vector, so the merged
-/// [`CampaignResult`] is bit-identical to [`run`] regardless of thread
-/// count or scheduling.
+/// [`CampaignResult`] is bit-identical regardless of thread count or
+/// scheduling.
+///
+/// `hooks` emit `campaign_begin`, one `batch` event per batch (carrying
+/// the emitting worker's thread id) and `campaign_end` to
+/// `hooks.tracer`, and tick `hooks.progress` once per completed batch.
+/// They never touch simulation state.
 pub fn run_parallel<F: TestbenchFactory>(
-    proto: &ParallelSim,
-    faults: &FaultList,
-    factory: &F,
-    threads: usize,
-) -> CampaignResult {
-    run_parallel_with(proto, faults, factory, threads, &CampaignHooks::none())
-}
-
-/// [`run_parallel`] with observability hooks. Trace events carry the
-/// emitting worker's thread id; `hooks.progress` is ticked once per
-/// completed batch across all workers. The hooks never touch simulation
-/// state, so detections remain bit-identical to the serial runner.
-pub fn run_parallel_with<F: TestbenchFactory>(
     proto: &ParallelSim,
     faults: &FaultList,
     factory: &F,
@@ -756,34 +680,25 @@ pub fn run_parallel_with<F: TestbenchFactory>(
     };
     let lanes = proto.lanes();
     let workers = threads.min(batch_count_lanes(faults, lanes) as usize).max(1);
-    if workers == 1 {
-        let mut sim = proto.clone();
-        let mut tb = factory.create();
-        return run_with(&mut sim, faults, &mut tb, hooks);
-    }
-
     let t0 = Instant::now();
     let profile_start = hooks.profiler.snapshot();
     let budget = factory.create().cycles();
-    trace_campaign_begin(hooks, "parallel", proto.stats(), faults, budget, workers, lanes);
+    let mode = if workers == 1 { "serial" } else { "parallel" };
+    trace_campaign_begin(hooks, mode, proto.stats(), faults, budget, workers, lanes);
     let mut detections = vec![Detection::Undetected; faults.len()];
     let work = Work::new(faults, &mut detections, lanes, budget);
-    let worker_stats = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let work = &work;
-                s.spawn(move || {
-                    let mut sim = proto.clone();
-                    let mut tb = factory.create();
-                    drain(&mut sim, &mut tb, work, w, hooks)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
-            .collect::<Vec<_>>()
-    });
+    let worker = |w: usize| drain(&mut proto.clone(), &mut factory.create(), &work, w, hooks);
+    let worker_stats = if workers == 1 {
+        vec![worker(0)]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || worker(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign worker panicked"))
+                .collect()
+        })
+    };
     drop(work);
     finish(hooks, faults, detections, worker_stats, budget, t0, &profile_start)
 }
@@ -840,9 +755,8 @@ pub fn run_vectors(
     faults: &FaultList,
     vectors: &[Vec<(&str, u64)>],
 ) -> CampaignResult {
-    let mut sim = ParallelSim::new(netlist);
-    let mut tb = VectorBench::new(netlist, vectors);
-    run(&mut sim, faults, &mut tb)
+    let factory = || VectorBench::new(netlist, vectors);
+    run_parallel(&ParallelSim::new(netlist), faults, &factory, 1, &CampaignHooks::none())
 }
 
 #[cfg(test)]
@@ -973,7 +887,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run_parallel(&proto, &faults, &factory, threads);
+            let par = run_parallel(&proto, &faults, &factory, threads, &CampaignHooks::none());
             assert_eq!(
                 par.detections, serial.detections,
                 "thread count {threads} changed the result"
@@ -1033,8 +947,9 @@ mod tests {
         let oracle = crate::serial::run_vectors(&nl, &faults.faults, &vectors);
         let kernel = crate::kernel::compile_cached(&nl, &[nl.topo_order().to_vec()]);
         for lane_words in [1usize, 2, 4, 8] {
-            let mut sim = ParallelSim::from_kernel(kernel.clone(), lane_words);
-            let serial = run(&mut sim, &faults, &mut VectorBench::new(&nl, &vectors));
+            let sim = ParallelSim::from_kernel(kernel.clone(), lane_words);
+            let factory = || VectorBench::new(&nl, &vectors);
+            let serial = run_parallel(&sim, &faults, &factory, 1, &CampaignHooks::none());
             assert_eq!(serial.detections, oracle, "{} lanes", 64 * lane_words);
             assert_eq!(serial.stats.lanes, 64 * lane_words as u64);
             assert_eq!(
@@ -1043,7 +958,7 @@ mod tests {
             );
             for threads in [2usize, 4] {
                 let factory = || VectorBench::new(&nl, &vectors);
-                let par = run_parallel(&sim, &faults, &factory, threads);
+                let par = run_parallel(&sim, &faults, &factory, threads, &CampaignHooks::none());
                 assert_eq!(
                     par.detections, oracle,
                     "{} lanes at {threads} threads",
@@ -1080,7 +995,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let proto = ParallelSim::new(&nl);
             let factory = || VectorBench::new(&nl, &vectors);
-            let par = run_parallel_with(&proto, &faults, &factory, threads, &hooks);
+            let par = run_parallel(&proto, &faults, &factory, threads, &hooks);
             assert_eq!(
                 par.detections, plain.detections,
                 "hooks changed detections at {threads} threads"

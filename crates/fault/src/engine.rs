@@ -5,9 +5,9 @@
 //! [`crate::sim::ParallelSim`]) at 64–512 lanes. Its reference is the
 //! serial single-fault oracle in [`crate::serial`].
 //!
-//! The lane width resolves from the environment (`SBST_LANES`) so every
-//! binary and test can change it without plumbing flags, and from CLI
-//! parse helpers used by `bench --bin tables`.
+//! The lane width is an explicit argument: the default is 256 lanes,
+//! and the binaries take `--lanes` (parsed by
+//! [`EngineConfig::parse_lanes`]).
 
 /// The engine name recorded in stats, ledger entries and job specs.
 pub const ENGINE_NAME: &str = "compiled";
@@ -59,7 +59,7 @@ impl EngineConfig {
         }
     }
 
-    /// Parse a lane count from a CLI/env spelling.
+    /// Parse a lane count from its CLI spelling.
     pub fn parse_lanes(s: &str) -> Result<usize, String> {
         let n: usize = s
             .trim()
@@ -68,18 +68,6 @@ impl EngineConfig {
         Self::words_for_lanes(n)
             .map(|_| n)
             .ok_or_else(|| format!("unsupported lane count {n} (expected 64|128|256|512)"))
-    }
-
-    /// Resolve from the environment: `SBST_LANES=64|128|256|512`. Unset
-    /// or malformed values fall back to the default.
-    pub fn from_env() -> EngineConfig {
-        let mut cfg = EngineConfig::default();
-        if let Ok(v) = std::env::var("SBST_LANES") {
-            if let Ok(lanes) = Self::parse_lanes(&v) {
-                cfg.lane_words = lanes / 64;
-            }
-        }
-        cfg
     }
 }
 

@@ -1,7 +1,8 @@
 //! Bounded broadcast event bus for live campaign observability.
 //!
-//! Publishers (campaign runners, the difftest merge loop) push small JSON
-//! events at *batch/wave granularity* — never per cycle — and the bus
+//! Publishers (a [`crate::Tracer`] carrying the bus, for campaign and
+//! fuzzing runs; the job server) push small JSON events at
+//! *batch/wave granularity* — never per cycle — and the bus
 //! guarantees they can never block: the queue is bounded and drops its
 //! oldest entries when full. Consumers (the `/events` Server-Sent-Events
 //! route) poll with a sequence cursor and a condvar timeout, so a slow or

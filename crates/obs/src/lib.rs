@@ -10,7 +10,8 @@
 //!   costs one pointer test when tracing is off (the default). Events
 //!   carry a microsecond timestamp relative to tracer creation and the
 //!   emitting thread's id; [`trace::Span`] guards add wall-clock
-//!   durations.
+//!   durations. A tracer may also carry an [`events::EventBus`], so one
+//!   `event()` call feeds both the JSONL file and the live SSE stream.
 //! * [`metrics::LatencyHistogram`] — power-of-two bucketed histogram of
 //!   detection latencies (cycles from test start to first divergence).
 //! * [`registry::MetricRegistry`] — named counters, gauges, and

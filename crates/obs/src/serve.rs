@@ -435,18 +435,16 @@ fn respond(stream: &mut TcpStream, status: &str, ctype: &str, body: &str) {
 /// as the disconnect probe. The campaign side never waits on this
 /// socket.
 fn serve_sse(mut stream: TcpStream, bus: &EventBus, keepalive: Duration) {
+    // The replay header is taken before the response head goes out, so
+    // a client that has read the head and then publishes sees its event
+    // after the header, never counted in it.
+    let replay = sse_frame(&bus.replay_header());
     // No Content-Length: the stream ends when the connection closes.
     if write!(
         stream,
-        "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n"
+        "HTTP/1.0 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n{replay}"
     )
     .is_err()
-    {
-        return;
-    }
-    if stream
-        .write_all(sse_frame(&bus.replay_header()).as_bytes())
-        .is_err()
         || stream.flush().is_err()
     {
         return;

@@ -11,6 +11,12 @@
 //! remaining fields are event-specific. Span guards emit `<kind>_begin` /
 //! `<kind>_end` pairs, the end event carrying `dur_us`.
 //!
+//! A tracer can also carry an [`EventBus`] as a second output
+//! ([`Tracer::with_bus`]): one [`Tracer::event`] call writes the JSONL
+//! line and publishes the event kind and its own fields to the bus,
+//! which frames them as `seq`/`ms`/`ev` + fields. Scoped fields and
+//! `us`/`tid` stay JSONL-only.
+//!
 //! For distributed runs a [`TraceContext`] names the trace a process is
 //! contributing to (trace id = job id, plus a span id / parent pair);
 //! [`Tracer::scoped`] returns a handle that stamps those fields on every
@@ -24,18 +30,24 @@ use std::time::Instant;
 
 use serde_json::{Map, Value};
 
+use crate::events::EventBus;
+
 struct Inner {
     t0: Instant,
     sink: Mutex<Box<dyn Write + Send>>,
 }
 
-/// A clonable handle to a trace sink. Cloning shares the sink; all
-/// clones append to the same stream (writes are line-atomic behind a
-/// mutex). A disabled tracer carries no sink and makes every operation
-/// a cheap no-op, so instrumented code can hold one unconditionally.
+/// A clonable handle to a trace sink and, optionally, a live event
+/// bus. Cloning shares both; all clones append to the same stream
+/// (writes are line-atomic behind a mutex). A disabled tracer carries
+/// neither and makes every operation a cheap no-op, so instrumented
+/// code can hold one unconditionally.
 #[derive(Clone)]
 pub struct Tracer {
+    /// The JSONL writer and its clock.
     inner: Option<Arc<Inner>>,
+    /// Second output: every event's kind and own fields.
+    bus: Option<EventBus>,
     /// Fields stamped on every event after the `us`/`tid`/`ev` triple
     /// (see [`Tracer::scoped`]). Shared, append-only.
     extra: Arc<Vec<(String, Value)>>,
@@ -167,6 +179,7 @@ impl Tracer {
     pub fn disabled() -> Tracer {
         Tracer {
             inner: None,
+            bus: None,
             extra: Arc::new(Vec::new()),
         }
     }
@@ -179,8 +192,16 @@ impl Tracer {
                 t0: Instant::now(),
                 sink: Mutex::new(w),
             })),
+            bus: None,
             extra: Arc::new(Vec::new()),
         }
+    }
+
+    /// This tracer with `bus` as a second output: every event is also
+    /// published there, as its kind and its own fields.
+    pub fn with_bus(mut self, bus: EventBus) -> Tracer {
+        self.bus = Some(bus);
+        self
     }
 
     /// A tracer writing into a shared in-memory buffer, plus the handle
@@ -205,10 +226,11 @@ impl Tracer {
         Ok(Tracer::to_writer(Box::new(BufWriter::new(f))))
     }
 
-    /// Whether events are being recorded. Instrumentation should gate
-    /// any non-trivial field construction on this.
+    /// Whether events are being recorded, to a writer or a bus.
+    /// Instrumentation should gate any non-trivial field construction
+    /// on this.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.inner.is_some() || self.bus.is_some()
     }
 
     /// Microseconds elapsed on this tracer's clock, or `None` when
@@ -229,6 +251,7 @@ impl Tracer {
         extra.extend(fields.iter().cloned());
         Tracer {
             inner: self.inner.clone(),
+            bus: self.bus.clone(),
             extra: Arc::new(extra),
         }
     }
@@ -238,9 +261,13 @@ impl Tracer {
         self.scoped(&ctx.fields())
     }
 
-    /// Emit one event. `fields` are appended after the standard
-    /// `us`/`tid`/`ev` triple (and any scoped fields), in order.
+    /// Emit one event. In the JSONL line `fields` are appended after the
+    /// standard `us`/`tid`/`ev` triple (and any scoped fields), in
+    /// order; the bus gets `kind` and `fields` alone.
     pub fn event(&self, kind: &str, fields: &[(&str, Value)]) {
+        if let Some(bus) = &self.bus {
+            bus.publish(kind, fields);
+        }
         let Some(inner) = &self.inner else { return };
         let mut obj = Map::new();
         obj.insert(

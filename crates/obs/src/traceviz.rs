@@ -173,8 +173,12 @@ fn render_stream(pid: u64, jsonl: &str) -> StreamRender {
             tids.push(tid);
         }
         if ev == "campaign_begin" {
+            // One trace holds every campaign of a run; the counters
+            // restart with each.
             faults_total = v["faults"].as_u64().unwrap_or(0);
             lanes = v["lanes"].as_u64().unwrap_or(1).max(1);
+            cum_detected = 0;
+            cum_cycles = 0;
             campaign = Some((us, tid, v));
             continue;
         }
@@ -418,6 +422,19 @@ mod tests {
             .map(|e| e["args"]["pct"].as_f64().unwrap())
             .collect();
         assert_eq!(cov, vec![40.0, 70.0]);
+        // A run's trace holds every campaign of the run: the counters
+        // restart at each `campaign_begin`.
+        jsonl += &line(r#"{"us":3000,"tid":1,"ev":"campaign_begin","mode":"serial","faults":10,"batches":1,"lanes":64,"budget":100,"threads":1,"nets":9,"gates":5,"dffs":2,"segments":2}"#);
+        jsonl += &line(r#"{"us":3500,"tid":2,"ev":"batch","batch":0,"faults":10,"cycles":100,"detected":5,"dur_us":400}"#);
+        let trace = render(&jsonl, None);
+        let cov = trace["traceEvents"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e["name"].as_str() == Some("coverage_pct"))
+            .map(|e| e["args"]["pct"].as_f64().unwrap())
+            .last();
+        assert_eq!(cov, Some(50.0));
     }
 
     #[test]

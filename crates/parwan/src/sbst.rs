@@ -263,25 +263,13 @@ pub fn golden_cycles(test: &ParwanSelfTest) -> u64 {
     panic!("parwan self-test never reached its end marker");
 }
 
-/// Fault-simulate a self-test at an explicit lane width, sharded over
-/// `threads` worker threads (0 = auto, see
-/// [`campaign::default_threads`]). Results are bit-identical across lane
-/// widths and thread counts.
-pub fn grade_engine(
-    core: &ParwanCore,
-    test: &ParwanSelfTest,
-    faults: &FaultList,
-    threads: usize,
-    engine: EngineConfig,
-) -> CampaignResult {
-    grade_hooks(core, test, faults, threads, engine, &CampaignHooks::none())
-}
-
-/// [`grade_engine`] with observability hooks: the tracer/progress/event
-/// plumbing of [`fault::campaign::CampaignHooks`], and each worker's
-/// bench shares the hooks' profiler so per-cycle phase times land in the
-/// campaign profile. Detections are bit-identical with hooks on or off.
-pub fn grade_hooks(
+/// Fault-simulate a self-test over `faults` at lane width `engine`,
+/// sharded over `threads` worker threads (0 = auto, see
+/// [`campaign::default_threads`]). Each worker's bench shares the hooks'
+/// profiler, so per-cycle phase times land in the campaign profile.
+/// Detections are bit-identical across lane widths, thread counts and
+/// hooks.
+pub fn grade(
     core: &ParwanCore,
     test: &ParwanSelfTest,
     faults: &FaultList,
@@ -300,28 +288,11 @@ pub fn grade_hooks(
     let factory = || {
         ParwanSelfTestBench::new(core, &test.image, budget).with_profiler(hooks.profiler.clone())
     };
-    campaign::run_parallel_with(&proto, faults, &factory, threads, hooks)
-}
-
-/// Fault-simulate a self-test over the (collapsed) fault list at the
-/// environment-selected lane width (`SBST_LANES`; default 256),
-/// sharded over `threads` worker threads.
-pub fn grade_threads(
-    core: &ParwanCore,
-    test: &ParwanSelfTest,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    grade_engine(core, test, faults, threads, EngineConfig::from_env())
-}
-
-/// [`grade_threads`] with auto thread count.
-pub fn grade(core: &ParwanCore, test: &ParwanSelfTest, faults: &FaultList) -> CampaignResult {
-    grade_threads(core, test, faults, 0)
+    campaign::run_parallel(&proto, faults, &factory, threads, hooks)
 }
 
 /// Grade `faults` with the serial single-fault oracle
-/// ([`fault::serial`]) under the same budget as [`grade_engine`]: the
+/// ([`fault::serial`]) under the same budget as [`grade`]: the
 /// reference a campaign's detections must equal.
 pub fn grade_serial(
     core: &ParwanCore,
@@ -338,7 +309,7 @@ pub fn grade_serial(
 
 /// Replay one fault of a Parwan self-test with waveform capture: lane 0
 /// is the fault-free core, lane 1 the faulty one, through the same
-/// [`ParwanSelfTestBench`] [`grade_threads`] uses, so the verdict (and
+/// [`ParwanSelfTestBench`] [`grade`] uses, so the verdict (and
 /// detection cycle) matches the campaign bit for bit. Probe specs follow
 /// [`netlist::wave::Probe::from_spec`] (component names or port globs;
 /// empty = full probe).
@@ -397,7 +368,8 @@ mod tests {
             weight: faults.weight[..63].to_vec(),
             total_uncollapsed: 63,
         };
-        let res = grade(&core, &test, &head);
+        let hooks = CampaignHooks::none();
+        let res = grade(&core, &test, &head, 0, EngineConfig::default(), &hooks);
         let (idx, det_cycle) = res
             .detections
             .iter()
@@ -445,19 +417,18 @@ mod tests {
     /// count, and that vector must be the serial single-fault oracle's —
     /// the processor-level bit-identical check.
     #[test]
-    fn grade_engine_matches_serial_oracle_across_widths_and_threads() {
+    fn grade_matches_serial_oracle_across_widths_and_threads() {
         let core = ParwanCore::build();
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let test = deterministic_selftest();
-        let reference = grade_engine(&core, &test, &faults, 1, EngineConfig::compiled(64));
+        let hooks = CampaignHooks::none();
+        let at = |threads: usize, lanes: usize| {
+            let engine = EngineConfig::compiled(lanes);
+            grade(&core, &test, &faults, threads, engine, &hooks)
+        };
+        let reference = at(1, 64);
         for (threads, lanes) in [(1usize, 128usize), (4, 64), (4, 128)] {
-            let res = grade_engine(
-                &core,
-                &test,
-                &faults,
-                threads,
-                EngineConfig::compiled(lanes),
-            );
+            let res = at(threads, lanes);
             assert_eq!(
                 res.detections, reference.detections,
                 "{lanes} lanes @ {threads} threads diverged from 64 lanes @ 1 thread"
@@ -475,11 +446,14 @@ mod tests {
         let core = ParwanCore::build();
         let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
         let det = deterministic_selftest();
-        let det_res = grade(&core, &det, &faults);
+        let hooks = CampaignHooks::none();
+        let grade_all =
+            |test: &ParwanSelfTest| grade(&core, test, &faults, 0, EngineConfig::default(), &hooks);
+        let det_res = grade_all(&det);
         let det_cov = det_res.coverage();
         assert!(det_cov > 0.80, "deterministic coverage {det_cov}");
         let pr = lfsr_selftest(40);
-        let pr_res = grade(&core, &pr, &faults);
+        let pr_res = grade_all(&pr);
         // The pseudorandom test must not dominate: comparable-or-lower
         // coverage at far higher cycle cost (the paper's claim).
         assert!(

@@ -5,13 +5,12 @@
 use std::time::Instant;
 
 use fault::campaign::Testbench;
-use fault::sim::{transpose_lanes, ParallelSim, MAX_LANE_WORDS};
+use fault::sim::{transpose_lanes, ParallelSim};
 use fault::serial::{SerialBench, SerialMachine};
 use mips::iss::{Bus, BusCycle, Memory};
 use mips::Program;
 use netlist::sim::{CompiledOrder, Simulator};
-use obs::{ProfilePhase, Profiler, Tracer};
-use serde_json::Value;
+use obs::{ProfilePhase, Profiler};
 
 use crate::PlasmaCore;
 
@@ -133,11 +132,6 @@ pub struct SelfTestBench<'a> {
     budget: u64,
     rdata_scratch: Vec<u64>,
     bits_scratch: Vec<u64>,
-    // Optional cycle-window divergence tracing (see `with_trace`).
-    tracer: Tracer,
-    trace_window: u64,
-    win_diff: [u64; MAX_LANE_WORDS],
-    batch_idx: u64,
     // Optional hot-loop self-profiler (see `with_profiler`).
     profiler: Profiler,
 }
@@ -168,22 +162,8 @@ impl<'a> SelfTestBench<'a> {
             budget,
             rdata_scratch: Vec::new(),
             bits_scratch: Vec::new(),
-            tracer: Tracer::disabled(),
-            trace_window: 0,
-            win_diff: [0; MAX_LANE_WORDS],
-            batch_idx: 0,
             profiler: Profiler::disabled(),
         }
-    }
-
-    /// Attach a cycle-window divergence trace: every `window` cycles the
-    /// bench emits a `tb_window` event with the number of lanes that
-    /// diverged from the reference inside the window. A disabled tracer
-    /// leaves the step loop at one branch per cycle.
-    pub fn with_trace(mut self, tracer: Tracer, window: u64) -> Self {
-        self.trace_window = if tracer.enabled() { window.max(1) } else { 0 };
-        self.tracer = tracer;
-        self
     }
 
     /// Attach a hot-loop self-profiler: each cycle's wall-time is split
@@ -315,36 +295,15 @@ impl Testbench for SelfTestBench<'_> {
             self.ovl_gens.fill(0);
             self.gen = 1;
         }
-        if self.trace_window != 0 {
-            self.batch_idx += 1;
-            self.win_diff = [0; MAX_LANE_WORDS];
-        }
     }
 
-    fn step(&mut self, sim: &mut ParallelSim, cycle: u64, diff: &mut [u64]) {
+    fn step(&mut self, sim: &mut ParallelSim, _cycle: u64, diff: &mut [u64]) {
         // One branch per cycle: the timed variant differs only in the
         // Instant checkpoints between phases, never in what it computes.
         if self.profiler.enabled() {
             self.step_timed(sim, diff);
         } else {
             self.step_plain(sim, diff);
-        }
-        if self.trace_window != 0 {
-            for (t, &d) in diff.iter().enumerate() {
-                self.win_diff[t] |= d;
-            }
-            if (cycle + 1) % self.trace_window == 0 {
-                let diverged: u32 = self.win_diff.iter().map(|d| d.count_ones()).sum();
-                self.tracer.event(
-                    "tb_window",
-                    &[
-                        ("batch", Value::U64(self.batch_idx)),
-                        ("cycle", Value::U64(cycle + 1)),
-                        ("diverged", Value::U64(u64::from(diverged))),
-                    ],
-                );
-                self.win_diff = [0; MAX_LANE_WORDS];
-            }
         }
     }
 

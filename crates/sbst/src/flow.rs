@@ -36,15 +36,16 @@ pub struct FlowOptions {
     /// Tester/CPU clock assumptions.
     pub cost_model: CostModel,
     /// Campaign worker threads; 0 resolves via
-    /// [`campaign::default_threads`] (the `SBST_THREADS` environment
-    /// variable, else available parallelism). Results are bit-identical
-    /// at every thread count.
+    /// [`campaign::default_threads`] (available parallelism). Results
+    /// are bit-identical at every thread count.
     pub threads: usize,
     /// Live batch-progress ticker on stderr (`--progress`).
     pub progress: bool,
-    /// Write structured JSONL trace events here (`None` = tracing off,
-    /// the default — disabled tracing is one branch per batch).
-    pub trace_path: Option<PathBuf>,
+    /// Campaign events go here: a JSONL file (`--trace`), the live
+    /// event bus (`--serve`), or both. One tracer serves every campaign
+    /// of a run, so they share one file and one clock. Disabled by
+    /// default — disabled tracing is one branch per batch.
+    pub tracer: Tracer,
     /// Coverage-over-time sample stride in cycles; `0` disables the
     /// timeline (the default).
     pub timeline_stride: u64,
@@ -55,10 +56,6 @@ pub struct FlowOptions {
     /// Publish campaign counters, per-component gate-eval counts, and
     /// coverage gauges into this registry (`--metrics-out`/`--serve`).
     pub metrics: Option<MetricRegistry>,
-    /// Publish live `campaign_begin`/`batch`/`campaign_end` events onto
-    /// this bus for SSE subscribers (`--serve`). Bounded drop-oldest:
-    /// publishing never blocks the batch loop.
-    pub events: Option<obs::EventBus>,
     /// Waveform capture (`--wave-fault`/`--wave-escapes`): after the
     /// campaign, replay the selected fault and/or the first `escapes`
     /// undetected faults with a wave probe attached and write
@@ -66,9 +63,8 @@ pub struct FlowOptions {
     /// [`fault::wave::WaveOptions::out_dir`]. `None` (the default) adds
     /// zero work — campaigns never record.
     pub wave: Option<fault::wave::WaveOptions>,
-    /// Engine lane width. Defaults to the environment (`SBST_LANES`),
-    /// which itself defaults to 256 lanes. Detections are bit-identical
-    /// across widths; only throughput differs.
+    /// Engine lane width, 256 lanes by default. Detections are
+    /// bit-identical across widths; only throughput differs.
     pub engine: EngineConfig,
     /// Run fault forensics after the campaign (`--forensics`): triage
     /// every escape into a detectability bucket via structural cones +
@@ -90,13 +86,12 @@ impl Default for FlowOptions {
             cost_model: CostModel::default(),
             threads: 0,
             progress: false,
-            trace_path: None,
+            tracer: Tracer::disabled(),
             timeline_stride: 0,
             profile: false,
             metrics: None,
-            events: None,
             wave: None,
-            engine: EngineConfig::from_env(),
+            engine: EngineConfig::default(),
             forensics: false,
         }
     }
@@ -105,19 +100,10 @@ impl Default for FlowOptions {
 impl FlowOptions {
     /// Build the campaign hooks these options describe. `label` names
     /// the progress ticker; `total_batches` sizes it (see
-    /// [`campaign::batch_count_lanes`]). A trace path that cannot be opened
-    /// degrades to disabled tracing with a warning rather than failing
-    /// the run.
+    /// [`campaign::batch_count_lanes`]).
     pub fn hooks(&self, label: &str, total_batches: u64) -> CampaignHooks {
-        let tracer = match &self.trace_path {
-            Some(p) => Tracer::to_path(p).unwrap_or_else(|e| {
-                eprintln!("warning: cannot open trace file {}: {e}", p.display());
-                Tracer::disabled()
-            }),
-            None => Tracer::disabled(),
-        };
         CampaignHooks {
-            tracer,
+            tracer: self.tracer.clone(),
             progress: self.progress.then(|| Progress::new(label, total_batches)),
             profiler: if self.profile {
                 Profiler::new()
@@ -125,7 +111,6 @@ impl FlowOptions {
                 Profiler::disabled()
             },
             metrics: self.metrics.clone(),
-            events: self.events.clone(),
         }
     }
 }
@@ -247,45 +232,12 @@ pub fn fault_list(core: &PlasmaCore, opts: &FlowOptions) -> FaultList {
     }
 }
 
-/// Run a fault campaign of an arbitrary program over `faults` on `core`,
-/// sharded over `threads` worker threads (0 = auto, see
-/// [`campaign::default_threads`]). Every worker gets its own simulator
-/// clone and testbench; the result is bit-identical to a serial run.
-pub fn run_campaign_of_threads(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_of_hooks(core, program, faults, budget, threads, &CampaignHooks::none())
-}
-
-/// [`run_campaign_of_threads`] with observability hooks (trace events +
-/// live progress), at the environment-selected lane width. Detections are
-/// bit-identical with or without hooks.
-pub fn run_campaign_of_hooks(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-    hooks: &CampaignHooks,
-) -> CampaignResult {
-    run_campaign_of_engine(
-        core,
-        program,
-        faults,
-        budget,
-        threads,
-        hooks,
-        EngineConfig::from_env(),
-    )
-}
-
-/// The campaign entry at an explicit lane width (`engine`). Detections
-/// are bit-identical across lane widths and thread counts — only
-/// throughput (and batch geometry in the stats) differs.
+/// Run a fault campaign of an arbitrary program over `faults` on `core`
+/// at lane width `engine`, sharded over `threads` worker threads (0 =
+/// auto, see [`campaign::default_threads`]). Every worker gets its own
+/// simulator clone and testbench. Detections are bit-identical across
+/// lane widths and thread counts — only throughput (and batch geometry
+/// in the stats) differs.
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_of_engine(
     core: &PlasmaCore,
@@ -325,40 +277,9 @@ pub fn run_campaign_of_engine(
     let factory = || {
         SelfTestBench::new(core, program, MEM_BYTES, budget).with_profiler(hooks.profiler.clone())
     };
-    let mut result = campaign::run_parallel_with(&proto, faults, &factory, threads, hooks);
+    let mut result = campaign::run_parallel(&proto, faults, &factory, threads, hooks);
     result.stats.profile.absorb(&compile_delta);
     result
-}
-
-/// [`run_campaign_of_threads`] with auto thread count.
-pub fn run_campaign_of(
-    core: &PlasmaCore,
-    program: &mips::Program,
-    faults: &FaultList,
-    budget: u64,
-) -> CampaignResult {
-    run_campaign_of_threads(core, program, faults, budget, 0)
-}
-
-/// [`run_campaign_of_threads`] for a generated phase program.
-pub fn run_campaign_threads(
-    core: &PlasmaCore,
-    selftest: &SelfTestProgram,
-    faults: &FaultList,
-    budget: u64,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_of_threads(core, &selftest.program, faults, budget, threads)
-}
-
-/// [`run_campaign_of`] for a generated phase program.
-pub fn run_campaign(
-    core: &PlasmaCore,
-    selftest: &SelfTestProgram,
-    faults: &FaultList,
-    budget: u64,
-) -> CampaignResult {
-    run_campaign_of(core, &selftest.program, faults, budget)
 }
 
 /// Replay one fault of a program with waveform capture (lane 0 good,
@@ -523,8 +444,6 @@ mod tests {
             timeline_stride: 500,
             profile: true,
             metrics: Some(MetricRegistry::new()),
-            // Pin the width so the lanes assertion below holds
-            // regardless of SBST_LANES in the environment.
             engine: EngineConfig::compiled(256),
             ..Default::default()
         };
@@ -572,6 +491,49 @@ mod tests {
         assert!((tl.overall.last().unwrap() - report.coverage.overall_pct).abs() < 1e-9);
     }
 
+    /// One campaign on a tracer with a writer and a bus: both outputs
+    /// carry the same `(ev, fields)` sequence; the JSONL line frames it
+    /// with `us`/`tid`, the bus with `seq`/`ms`.
+    #[test]
+    fn one_event_stream_feeds_the_trace_file_and_the_bus() {
+        let core = PlasmaCore::build(PlasmaConfig::default());
+        let (writer, buf) = Tracer::to_shared_buffer();
+        let bus = obs::EventBus::new(1024);
+        let opts = FlowOptions {
+            fault_sample: Some(300),
+            // One worker, so both outputs see the events in one order.
+            threads: 1,
+            tracer: writer.with_bus(bus.clone()),
+            engine: EngineConfig::compiled(64),
+            ..Default::default()
+        };
+        run_flow(&core, Phase::A, &opts);
+        let events = |line: &str, frame: [&str; 2]| {
+            let v = serde_json::from_str(line).expect("one JSON object per line");
+            let o = v.as_object().expect("event is an object");
+            for k in frame {
+                assert!(o.get(k).is_some(), "`{k}` missing from {line}");
+            }
+            o.iter()
+                .filter(|(k, _)| !frame.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect::<Vec<_>>()
+        };
+        let text = buf.contents();
+        let file: Vec<_> = text.lines().map(|l| events(l, ["us", "tid"])).collect();
+        let live: Vec<_> = bus
+            .poll_after(0, std::time::Duration::ZERO)
+            .iter()
+            .map(|(_, l)| events(l, ["seq", "ms"]))
+            .collect();
+        assert_eq!(file, live, "the trace file and the bus diverged");
+        let kinds: Vec<&str> = file.iter().map(|ev| ev[0].1.as_str().unwrap()).collect();
+        assert_eq!(kinds.first(), Some(&"campaign_begin"));
+        assert_eq!(kinds.last(), Some(&"campaign_end"));
+        let batches = &kinds[1..kinds.len() - 1];
+        assert!(batches.iter().all(|k| *k == "batch"), "{kinds:?}");
+    }
+
     /// The observatory must not perturb the campaign, and its sampled
     /// series must land on the same final values at every thread count
     /// — only the timestamps may differ. Runs the same flow at 1 and 4
@@ -587,7 +549,7 @@ mod tests {
                 fault_sample: Some(400),
                 threads,
                 metrics: Some(reg),
-                events: Some(obs::EventBus::new(64)),
+                tracer: Tracer::disabled().with_bus(obs::EventBus::new(64)),
                 engine: EngineConfig::compiled(256),
                 ..Default::default()
             };

@@ -94,7 +94,10 @@ fn self_test_detects_nothing_on_a_healthy_core() {
     let none = full.filter(|_, _| false);
     let st = sbst::phases::build_program(Phase::A).unwrap();
     let golden = flow::golden_cycles(&st);
-    let res = flow::run_campaign(&core, &st, &none, golden + 64);
+    let hooks = fault::campaign::CampaignHooks::none();
+    let engine = fault::EngineConfig::default();
+    let res =
+        flow::run_campaign_of_engine(&core, &st.program, &none, golden + 64, 0, &hooks, engine);
     assert_eq!(res.detections.len(), 0);
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use fault::campaign::{self, VectorBench};
+use fault::campaign::{self, CampaignHooks, VectorBench};
 use fault::model::FaultList;
 use fault::serial::{self, SerialMachine};
 use fault::sim::ParallelSim;
@@ -50,6 +50,7 @@ proptest! {
                     &faults,
                     &|| VectorBench::new(&nl, &vectors),
                     threads,
+                    &CampaignHooks::none(),
                 );
                 prop_assert_eq!(&result.detections, &oracle,
                     "{} lanes, {} threads", 64 * lane_words, threads);

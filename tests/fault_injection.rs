@@ -3,12 +3,24 @@
 //! program region that targets that component. This is the methodology's
 //! promise at the single-fault granularity.
 
-use fault::campaign::Detection;
+use fault::campaign::{CampaignHooks, CampaignResult, Detection};
 use fault::model::{Fault, FaultList, FaultSite, Polarity};
+use fault::EngineConfig;
 use netlist::GateKind;
 use plasma::{PlasmaConfig, PlasmaCore};
 use sbst::flow;
-use sbst::phases::{build_program, Phase};
+use sbst::phases::{build_program, Phase, SelfTestProgram};
+
+/// Grade `faults` under `st` at the default width on every core.
+fn grade(
+    core: &PlasmaCore,
+    st: &SelfTestProgram,
+    faults: &FaultList,
+    budget: u64,
+) -> CampaignResult {
+    let (hooks, engine) = (CampaignHooks::none(), EngineConfig::default());
+    flow::run_campaign_of_engine(core, &st.program, faults, budget, 0, &hooks, engine)
+}
 
 /// Run the Phase B program against exactly one fault; return its
 /// detection cycle (None = escaped).
@@ -19,7 +31,7 @@ fn detect_one(core: &PlasmaCore, fault: Fault, comp: &str) -> Option<u64> {
     assert_eq!(single.len(), 1, "fault must exist in {comp}");
     let st = build_program(Phase::B).unwrap();
     let golden = flow::golden_cycles(&st);
-    let res = flow::run_campaign(core, &st, &single, golden + 64);
+    let res = grade(core, &st, &single, golden + 64);
     match res.detections[0] {
         Detection::DetectedAt(c) => Some(c),
         Detection::Undetected => None,
@@ -117,8 +129,8 @@ fn broken_load_aligner_is_caught_by_phase_b_only() {
                     && nl.gates()[driver[n.index()] as usize].kind == GateKind::Mux2)
     });
     assert!(muxes.len() > 10, "MCTRL must contain mux faults");
-    let ra = flow::run_campaign(&core, &st_a, &muxes, ga + 64);
-    let rb = flow::run_campaign(&core, &st_b, &muxes, gb + 64);
+    let ra = grade(&core, &st_a, &muxes, ga + 64);
+    let rb = grade(&core, &st_b, &muxes, gb + 64);
     let found = (0..muxes.len())
         .any(|i| !ra.detections[i].is_detected() && rb.detections[i].is_detected());
     assert!(

@@ -7,8 +7,9 @@
 //! injected faults and the testbench stimulus, never on which worker ran
 //! the batch or in what order.
 
-use fault::campaign;
+use fault::campaign::{self, CampaignHooks};
 use fault::model::FaultList;
+use fault::EngineConfig;
 use sbst::flow::{self, FlowOptions};
 use sbst::phases::{build_program, Phase};
 
@@ -17,16 +18,16 @@ fn parwan_campaign_identical_across_thread_counts() {
     let core = parwan::ParwanCore::build();
     let faults = FaultList::extract(core.netlist()).collapsed(core.netlist());
     let test = parwan::sbst::deterministic_selftest();
-    let serial = parwan::sbst::grade_threads(&core, &test, &faults, 1);
+    let (engine, hooks) = (EngineConfig::default(), CampaignHooks::none());
+    let grade = |threads| parwan::sbst::grade(&core, &test, &faults, threads, engine, &hooks);
+    let serial = grade(1);
     assert_eq!(serial.stats.threads, 1);
-    // Batch count follows the engine's lane width (the default width is
-    // resolved from `SBST_LANES`, so derive, don't assume).
     assert_eq!(
         serial.stats.batches,
-        campaign::batch_count_lanes(&faults, serial.stats.lanes as usize)
+        campaign::batch_count_lanes(&faults, engine.lanes())
     );
-    for threads in [2, 5, campaign::default_threads()] {
-        let par = parwan::sbst::grade_threads(&core, &test, &faults, threads);
+    for threads in [2, 4, 5, campaign::default_threads()] {
+        let par = grade(threads);
         assert_eq!(
             par.detections, serial.detections,
             "{threads} threads changed the detections"
@@ -56,8 +57,12 @@ fn plasma_campaign_identical_serial_vs_parallel() {
         "need 3+ batches"
     );
     let budget = golden + opts.cycle_margin;
-    let serial = flow::run_campaign_threads(&core, &selftest, &faults, budget, 1);
-    let par = flow::run_campaign_threads(&core, &selftest, &faults, budget, 3);
+    let run = |threads: usize, hooks: &CampaignHooks| {
+        let program = &selftest.program;
+        flow::run_campaign_of_engine(&core, program, &faults, budget, threads, hooks, opts.engine)
+    };
+    let serial = run(1, &CampaignHooks::none());
+    let par = run(3, &CampaignHooks::none());
     assert_eq!(par.detections, serial.detections);
     assert_eq!(par.stats.batches, serial.stats.batches);
     assert_eq!(par.stats.cycles_simulated, serial.stats.cycles_simulated);
@@ -67,8 +72,11 @@ fn plasma_campaign_identical_serial_vs_parallel() {
     // runner must still be bit-identical — the hooks never touch
     // simulation state.
     let path = std::env::temp_dir().join("sbst_parallel_campaign_trace.jsonl");
-    let hooks = campaign::CampaignHooks::with_tracer(obs::Tracer::to_path(&path).unwrap());
-    let traced = flow::run_campaign_of_hooks(&core, &selftest.program, &faults, budget, 3, &hooks);
+    let hooks = CampaignHooks {
+        tracer: obs::Tracer::to_path(&path).unwrap(),
+        ..CampaignHooks::none()
+    };
+    let traced = run(3, &hooks);
     assert_eq!(traced.detections, serial.detections);
     assert_eq!(traced.stats.latency, serial.stats.latency);
     // The trace is valid JSONL: campaign_begin, one event per batch,
